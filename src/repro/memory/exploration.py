@@ -19,6 +19,12 @@ scale, both behavior-preserving:
   the visited set stores compact hash-consed keys instead of deep nested
   tuples, so duplicate detection costs O(changed components) per
   successor rather than O(whole state).
+* **Live-field projection** (:mod:`repro.memory.liveness`): under Arm,
+  the visited set keys each state on its live context fields, so states
+  differing only in a view or register no reachable instruction reads
+  count once.  ``states_explored`` therefore counts distinct projected
+  states, and ``keep_terminal_states`` keeps one representative per
+  projected class.
 
 The result records whether the exploration was *complete* — no path was
 cut by the memory-growth or state-count budget — which the verification
@@ -49,6 +55,7 @@ from repro.memory.datatypes import (
     latest_write_ts,
     value_at,
 )
+from repro.memory.liveness import state_projection, visited_key
 from repro.memory.por import PORPlan, por_worthwhile
 from repro.obs import metrics, tracer
 from repro.memory.semantics import (
@@ -341,12 +348,10 @@ def _explore(
     ]
     stats.fused_conditions = max(0, len(active) - 1)
     stopped_early = False
-    if interning_enabled():
-        interner: Optional[StateInterner] = StateInterner()
-        state_key = interner.key
-    else:  # benchmark baseline: hash whole states
-        interner = None
-        state_key = lambda s: s  # noqa: E731
+    # Without interning (the benchmark baseline) whole projected states
+    # are hashed.
+    interner = StateInterner() if interning_enabled() else None
+    state_key = visited_key(state_projection(cache, cfg), interner)
     # One certification memo — and one interner — for the whole run: the
     # outer DFS and every nested certification search share them.
     memo = CertMemo(interner=interner, stats=stats)

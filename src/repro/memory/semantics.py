@@ -296,6 +296,9 @@ class ProgramCache:
         self._promisable: List[Optional[List[bool]]] = [None] * len(
             program.threads
         )
+        self._succs: List[Optional[List[Tuple[int, ...]]]] = [None] * len(
+            program.threads
+        )
 
     def init_value(self, loc: int) -> int:
         return self.initial_memory.get(loc, 0)
@@ -321,7 +324,9 @@ class ProgramCache:
         stream (branch targets are labels, hence static).  When False,
         the promise-candidate lookahead is provably empty — only plain
         ``Store`` instructions ever contribute candidates — so
-        :func:`promise_steps` skips the whole nested search.
+        :func:`promise_steps` skips the whole nested search, and both
+        nested searches stop expanding such states: no candidate lies
+        below them, and only a plain store fulfils a promise.
         """
         reach = self._promisable[tidx]
         if reach is None:
@@ -329,20 +334,35 @@ class ProgramCache:
             self._promisable[tidx] = reach
         return 0 <= pc < len(reach) and reach[pc]
 
+    def control_successors(self, tidx: int) -> List[Tuple[int, ...]]:
+        """Static control-flow successors of every pc of thread *tidx*.
+
+        Branch targets are labels, hence static; a successor equal to
+        the thread length means falling off the end (halting), and a
+        ``Panic`` has none.
+        """
+        succs = self._succs[tidx]
+        if succs is None:
+            instrs = self.threads[tidx].instrs
+            labels = self.labels[tidx]
+            n = len(instrs)
+            succs = []
+            for pc, instr in enumerate(instrs):
+                if isinstance(instr, Jump):
+                    succs.append((labels.get(instr.target, n),))
+                elif isinstance(instr, (BranchIfZero, BranchIfNonZero)):
+                    succs.append((labels.get(instr.target, n), pc + 1))
+                elif isinstance(instr, Panic):
+                    succs.append(())
+                else:
+                    succs.append((pc + 1,))
+            self._succs[tidx] = succs
+        return succs
+
     def _compute_promisable(self, tidx: int) -> List[bool]:
         instrs = self.threads[tidx].instrs
-        labels = self.labels[tidx]
         n = len(instrs)
-        succs: List[Tuple[int, ...]] = []
-        for pc, instr in enumerate(instrs):
-            if isinstance(instr, Jump):
-                succs.append((labels.get(instr.target, n),))
-            elif isinstance(instr, (BranchIfZero, BranchIfNonZero)):
-                succs.append((labels.get(instr.target, n), pc + 1))
-            elif isinstance(instr, Panic):
-                succs.append(())
-            else:
-                succs.append((pc + 1,))
+        succs = self.control_successors(tidx)
         reach = [
             isinstance(instr, Store) and not instr.release for instr in instrs
         ]
@@ -1500,7 +1520,9 @@ def _collect_search(
             ctx.halted
             or st.panic is not None
             or depth >= cfg.promise_depth
-            or ctx.pc >= cache.thread_len(tidx)
+            # No plain store reachable: nothing here or below can become
+            # a candidate (covers ``pc`` past the end, too).
+            or not cache.promisable_from(tidx, ctx.pc)
         ):
             continue
         instr = cache.instr_at(tidx, ctx.pc)
@@ -1543,7 +1565,13 @@ def _certify_search(
         ctx = st.threads[tidx]
         if not ctx.promises:
             return True, False
-        if ctx.halted or st.panic is not None:
+        if (
+            ctx.halted
+            or st.panic is not None
+            # Only a plain store fulfils a promise: with none reachable,
+            # no path from here certifies.
+            or not cache.promisable_from(tidx, ctx.pc)
+        ):
             continue
         for succ in execute_instruction(cache, st, tidx, local_cfg):
             if len(succ.memory) > cfg.max_memory:

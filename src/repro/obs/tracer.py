@@ -24,10 +24,10 @@ artifacts.  Spans bracket phases (one exploration, one fused wDRF pass,
 one fuzzed program) with matched ``span_begin``/``span_end`` events
 carrying a shared span id.
 
-The default sink is process-local; worker processes inherit it through
-``fork`` but their recorded events stay in the worker (tracing is a
-debugging instrument — cross-process aggregation is the metrics
-registry's job, see :mod:`repro.obs.metrics`).
+The default sink is process-local.  :func:`repro.parallel.parallel_map`
+workers record each item's events in a sink of their own and ship them
+back with the result; the parent :meth:`~TraceSink.replay` s them into
+its sink in input order, so a pooled run traces like a serial one.
 """
 
 from __future__ import annotations
@@ -124,6 +124,26 @@ class TraceSink:
         """Close a span opened by :meth:`begin_span`."""
         self.emit(SPAN_END, span=span_id, name=name, **data)
 
+    def replay(
+        self, events: List[Tuple[str, Dict[str, Any]]], dropped: int = 0
+    ) -> None:
+        """Re-emit ``(kind, data)`` events another sink recorded.
+
+        Used for pool workers' events: they get this sink's sequence
+        numbers, and their span ids are renumbered from this sink's
+        counter so they cannot collide with its own spans.  *dropped*
+        is how many events the recording sink had to drop; sinks that
+        count drops add it.
+        """
+        spans: Dict[Any, int] = {}
+        for kind, data in events:
+            if kind in (SPAN_BEGIN, SPAN_END) and "span" in data:
+                span = spans.get(data["span"])
+                if span is None:
+                    span = spans[data["span"]] = next(self._span_ids)
+                data = dict(data, span=span)
+            self.emit(kind, **data)
+
     @contextlib.contextmanager
     def span(self, name: str, **data: Any) -> Iterator[int]:
         """Bracket a phase with ``span_begin``/``span_end`` events.
@@ -172,6 +192,13 @@ class RecordingSink(TraceSink):
             self.dropped += 1
             return
         self.events.append(TraceEvent(seq, kind, tuple(sorted(data.items()))))
+
+    def replay(
+        self, events: List[Tuple[str, Dict[str, Any]]], dropped: int = 0
+    ) -> None:
+        """Re-emit another sink's events; its drops count as this one's."""
+        super().replay(events)
+        self.dropped += dropped
 
     def by_kind(self, kind: str) -> List[TraceEvent]:
         """The recorded events of one kind, in emission order."""

@@ -20,7 +20,7 @@ import multiprocessing
 import os
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, TypeVar
 
-from repro.obs import metrics
+from repro.obs import metrics, tracer
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -207,6 +207,24 @@ def _run_with_metrics(fn: Callable[[T], R], item: T):
     return result, metrics.REGISTRY.snapshot()
 
 
+def _run_with_trace(fn: Callable[[T], R], max_events: int, item: T):
+    """Pool worker wrapper shipping the child's trace events to the parent.
+
+    The fork-inherited sink belongs to the parent; the item runs under a
+    fresh :class:`~repro.obs.tracer.RecordingSink` instead, whose events
+    (and drop count) ride back alongside the result, the way
+    :func:`_run_with_metrics` ships metrics.  Module-level so it pickles.
+    """
+    previous = tracer.SINK
+    rec = tracer.install(tracer.RecordingSink(max_events=max_events))
+    try:
+        result = fn(item)
+    finally:
+        tracer.SINK = previous
+    events = [(e.kind, dict(e.data)) for e in rec.events]
+    return result, events, rec.dropped
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -222,7 +240,10 @@ def parallel_map(
     When metrics are enabled (:func:`repro.obs.metrics.metrics_enabled`)
     each worker ships a per-item registry snapshot back with its result
     and the parent merges them, so ``--metrics-out`` totals cover the
-    whole pool, not just the parent process.
+    whole pool, not just the parent process.  Likewise, when a trace
+    sink is installed, each worker records its item's events and the
+    parent re-emits them into its sink in input order, so a ``--trace``
+    file covers the pool too.
     """
     batch = list(items)
     plan = plan_jobs(jobs, len(batch))
@@ -231,19 +252,27 @@ def parallel_map(
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else None
     ctx = multiprocessing.get_context(method)
-    if metrics.metrics_enabled():
-        wrapped = functools.partial(_run_with_metrics, fn)
-        with ctx.Pool(
-            processes=plan.workers, initializer=_disable_sharding
-        ) as pool:
-            pairs = pool.map(wrapped, batch)
-        for _, snap in pairs:
+    sink = tracer.SINK
+    work = fn
+    if sink is not None:
+        max_events = getattr(sink, "max_events", 100_000)
+        work = functools.partial(_run_with_trace, work, max_events)
+    collect_metrics = metrics.metrics_enabled()
+    if collect_metrics:
+        work = functools.partial(_run_with_metrics, work)
+    with ctx.Pool(
+        processes=plan.workers, initializer=_disable_sharding
+    ) as pool:
+        results = pool.map(work, batch)
+    if collect_metrics:
+        for _, snap in results:
             metrics.REGISTRY.merge(snap)
         metrics.REGISTRY.counter("pool.batches").inc()
         metrics.REGISTRY.counter("pool.items").inc(len(batch))
         metrics.REGISTRY.gauge("pool.workers").set(plan.workers)
-        return [result for result, _ in pairs]
-    with ctx.Pool(
-        processes=plan.workers, initializer=_disable_sharding
-    ) as pool:
-        return pool.map(fn, batch)
+        results = [result for result, _ in results]
+    if sink is not None:
+        for _, events, dropped in results:
+            sink.replay(events, dropped)
+        results = [result for result, _, _ in results]
+    return results

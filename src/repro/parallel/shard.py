@@ -53,7 +53,9 @@ process first saw the timeline" — meaningless in any other process.
 The shared filter keys on 128-bit content fingerprints
 (:func:`~repro.memory.state.state_fingerprint`) instead — genuine
 ``blake2b`` digests of the state's canonical serialization, identical
-in every process.
+in every process.  Like the serial engine's keys, they are taken over
+the live-field projection of each state (:mod:`repro.memory.liveness`),
+so both engines agree on which states are duplicates.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from repro.memory.datatypes import (
     ExplorationMonitor,
     ExplorationResult,
 )
+from repro.memory.liveness import state_projection, visited_key
 from repro.memory.por import PORPlan, por_worthwhile
 from repro.memory.semantics import CertMemo, ModelConfig, ProgramCache
 from repro.memory.state import (
@@ -377,6 +380,7 @@ def _worker_body(
     interner = StateInterner() if interning_enabled() else None
     memo = CertMemo(interner=interner, stats=stats)
     fp_memo = FingerprintMemo()
+    project = state_projection(cache, cfg)
     sink = tracer.SINK
     steal_batch = _steal_batch_size()
     # The fork-inherited filter object carries the parent's process-local
@@ -393,14 +397,12 @@ def _worker_body(
     # Local dedup: graph-recording runs key on fingerprints (every
     # successor is fingerprinted for the graph anyway); unmonitored
     # runs key on interner keys, so only locally-new states pay the
-    # fingerprint cost of consulting the shared filter.
+    # fingerprint cost of consulting the shared filter.  Both, like the
+    # serial engine, see the live-field projection of each state.
     if record_graph:
         local_seen: Set = {fp for fp, _ in stack}
     else:
-        if interner is not None:
-            state_key = interner.key
-        else:
-            state_key = lambda s: s  # noqa: E731
+        state_key = visited_key(project, interner)
         local_seen = {state_key(s) for _, s in stack}
     steals: List[int] = []
     states_explored = 0
@@ -477,7 +479,7 @@ def _worker_body(
                 mem_complete = False
                 continue
             if graph is not None:
-                sfp = state_fingerprint(succ, fp_memo)
+                sfp = state_fingerprint(project(succ), fp_memo)
                 kept.append(sfp)
                 if sfp in local_seen:
                     continue
@@ -491,7 +493,7 @@ def _worker_body(
                 if key in local_seen:
                     continue
                 local_seen.add(key)
-                sfp = state_fingerprint(succ, fp_memo)
+                sfp = state_fingerprint(project(succ), fp_memo)
                 if vfilter.add(sfp):
                     stack.append((sfp, succ))
                 elif sink is not None:
@@ -545,11 +547,9 @@ def _seed_phase(
     """
     start = initial_state(len(program.threads), cfg.initial_ownership)
     fp_memo = FingerprintMemo()
-    start_fp = state_fingerprint(start, fp_memo)
-    if interner is not None:
-        state_key = interner.key
-    else:
-        state_key = lambda s: s  # noqa: E731
+    project = state_projection(cache, cfg)
+    start_fp = state_fingerprint(project(start), fp_memo)
+    state_key = visited_key(project, interner)
     visited = {state_key(start)}
     vfilter.add(start_fp)
     stack: List[Tuple[int, ExecState]] = [(start_fp, start)]
@@ -597,12 +597,12 @@ def _seed_phase(
                 continue
             key = state_key(succ)
             if graph is not None:
-                sfp = state_fingerprint(succ, fp_memo)
+                sfp = state_fingerprint(project(succ), fp_memo)
                 kept.append(sfp)
             elif key in visited:
                 continue
             else:
-                sfp = state_fingerprint(succ, fp_memo)
+                sfp = state_fingerprint(project(succ), fp_memo)
             if key not in visited:
                 visited.add(key)
                 vfilter.add(sfp)

@@ -101,6 +101,14 @@ class BmcStats:
         self.conflicts += solver.stats.conflicts
         self.propagations += solver.stats.propagations
 
+    def count_answer(self, sat: bool) -> None:
+        """Count one ``solve()`` answer; every solve call site calls this,
+        so ``sat_answers + unsat_answers == solve_calls``."""
+        if sat:
+            self.sat_answers += 1
+        else:
+            self.unsat_answers += 1
+
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for JSON reports."""
         return {
@@ -165,8 +173,10 @@ def _enumerate_behaviors(
 ) -> FrozenSet[Behavior]:
     solver = encoding.builder.solver()
     behaviors = set()
+    answers: List[bool] = []
     for _ in range(_ALLSAT_CAP):
-        if not solver.solve():
+        answers.append(solver.solve())
+        if not answers[-1]:
             break
         registers, memory = encoding.decode_outcome(solver.value_of)
         behaviors.add(
@@ -181,6 +191,8 @@ def _enumerate_behaviors(
         raise Unsupported("outcome enumeration exceeded the AllSAT cap")
     if stats is not None:
         stats.merge_solver(solver)
+        for sat in answers:
+            stats.count_answer(sat)
         stats.outcomes += len(behaviors)
     if not behaviors:
         raise VerificationError(
@@ -261,6 +273,7 @@ def _assert_consistent(
     sat = solver.solve()
     if stats is not None:
         stats.merge_solver(solver)
+        stats.count_answer(sat)
     if not sat:
         raise VerificationError(
             "BMC encoding admits no execution — encoder defect"
@@ -281,10 +294,7 @@ def _violation_query(
     sat = solver.solve()
     if stats is not None:
         stats.merge_solver(solver)
-        if sat:
-            stats.sat_answers += 1
-        else:
-            stats.unsat_answers += 1
+        stats.count_answer(sat)
     return solver.value_of if sat else None
 
 

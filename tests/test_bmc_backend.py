@@ -402,3 +402,30 @@ class TestStats:
         assert stats.outcomes >= 1
         d = stats.as_dict()
         assert d["encodings"] == 1 and d["solve_calls"] >= 1
+
+    def test_every_solve_call_is_answered(self):
+        """Every encodable catalog query, behavior enumeration and
+        condition verdicts alike: each solve call is counted as exactly
+        one sat or unsat answer."""
+        stats = BmcStats()
+        queries = 0
+        for test in full_corpus():
+            observe = sorted(loc for loc, _ in test.memory_condition)
+            for cfg in (SC_CFG, rm_config(test.max_promises)):
+                if bmc_supported(test.program, cfg) is not None:
+                    continue
+                try:
+                    bmc_explore(
+                        test.program, cfg, observe, cache=False, stats=stats
+                    )
+                except Unsupported:
+                    continue
+                queries += 1
+        program = violating_pt_program()
+        bmc_condition_results(
+            program, SC_CFG, write_once_requests(program, SC_CFG),
+            cache=False, stats=stats,
+        )
+        assert queries > 0
+        assert stats.unsat_answers > 0 and stats.sat_answers > 0
+        assert stats.sat_answers + stats.unsat_answers == stats.solve_calls

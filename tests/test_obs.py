@@ -342,3 +342,70 @@ class TestMultiprocessAggregation:
         results = pool.parallel_map(_square_worker, [5, 6], jobs=2)
         assert results == [25, 36]
         assert metrics.REGISTRY.as_dict() == {}
+
+
+def _traced_worker(n):
+    """Module-level pool worker that emits one span and one event."""
+    sink = tracer.SINK
+    with sink.span("item", n=n):
+        sink.emit(tracer.PROMISE_MADE, tid=n, loc=n, value=n, ts=n)
+    return n * n
+
+
+class TestMultiprocessTracing:
+    def _force_pool(self, monkeypatch):
+        from repro.parallel import pool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform without fork")
+        monkeypatch.setattr(
+            pool, "plan_jobs",
+            lambda jobs, batch: pool.JobPlan(2, 2, 2, batch, "forced"),
+        )
+        return pool
+
+    def test_worker_events_reach_the_parent_in_input_order(self, monkeypatch):
+        pool = self._force_pool(monkeypatch)
+        with recording() as rec:
+            with rec.span("batch"):
+                results = pool.parallel_map(_traced_worker, [1, 2, 3, 4], jobs=2)
+        assert results == [1, 4, 9, 16]
+        made = rec.by_kind(tracer.PROMISE_MADE)
+        assert [e.get("tid") for e in made] == [1, 2, 3, 4]
+        seqs = [e.seq for e in rec.events]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        # Every worker span is renumbered apart from the parent's own.
+        begins = rec.by_kind(tracer.SPAN_BEGIN)
+        ends = rec.by_kind(tracer.SPAN_END)
+        assert len({e.get("span") for e in begins}) == 5
+        assert {e.get("span") for e in begins} == {e.get("span") for e in ends}
+
+    def test_worker_events_combine_with_metrics(self, monkeypatch):
+        pool = self._force_pool(monkeypatch)
+        metrics.enable()
+        metrics.REGISTRY.reset()
+        with recording() as rec:
+            results = pool.parallel_map(_square_worker, [2, 3], jobs=2)
+            traced = pool.parallel_map(_traced_worker, [5, 6], jobs=2)
+        assert results == [4, 9] and traced == [25, 36]
+        assert metrics.REGISTRY.as_dict()["worker.calls"]["value"] == 2
+        assert len(rec.by_kind(tracer.PROMISE_MADE)) == 2
+
+    def test_worker_drops_are_counted(self, monkeypatch):
+        pool = self._force_pool(monkeypatch)
+        with recording(max_events=1) as rec:
+            pool.parallel_map(_traced_worker, [1, 2], jobs=2)
+        # Each worker kept its span_begin and dropped two events.
+        assert rec.dropped >= 4
+
+    def test_worker_wrapper_restores_the_inherited_sink(self):
+        from repro.parallel.pool import _run_with_trace
+
+        with recording() as rec:
+            result, events, dropped = _run_with_trace(_traced_worker, 10, 7)
+            assert tracer.SINK is rec
+        assert result == 49 and dropped == 0
+        assert [kind for kind, _ in events] == [
+            tracer.SPAN_BEGIN, tracer.PROMISE_MADE, tracer.SPAN_END,
+        ]
+        assert rec.events == []
