@@ -5,10 +5,13 @@ The verification stack rests on relations between engines that are
 proved on paper but merely *implemented* here: SC behaviors embed into
 Promising Arm behaviors, wDRF programs behave identically on both, the
 operational executor matches the axiomatic model, and every engine
-optimization (POR, certification memoization, pass fusion, the process
-pool) is behavior-preserving.  This package turns each relation into an
-executable oracle and drives coverage-guided random programs through
-all of them (:mod:`~repro.conformance.engine`), shrinks any
+optimization (POR, certification memoization, pass fusion, the SAT
+backend, frontier sharding, the process pool, the VM feature gates) is
+behavior-preserving.  This package turns each relation into an entry of
+one oracle registry (:mod:`~repro.conformance.oracles`, the
+repository's only differential-check mechanism), drives
+coverage-guided random programs through all of them
+(:mod:`~repro.conformance.engine`), shrinks any
 disagreement to a minimal replayable counterexample
 (:mod:`~repro.conformance.shrink`, :mod:`~repro.conformance.corpus`),
 and pins the litmus catalog's behavior sets against drift
@@ -34,6 +37,7 @@ from repro.conformance.oracles import (
     ORACLES,
     Disagreement,
     check_genome,
+    check_program,
     oracles_for,
 )
 from repro.conformance.shrink import ShrinkResult, oracle_predicate, shrink
@@ -70,6 +74,7 @@ __all__ = [
     "ORACLES",
     "Disagreement",
     "check_genome",
+    "check_program",
     "oracles_for",
     "ShrinkResult",
     "oracle_predicate",

@@ -29,9 +29,18 @@ bug, never on an expected relaxed-memory effect:
     Armv8 axiomatic model accepts (straight-line, non-RMW).
 ``por`` / ``memo`` / ``jobs``
     Engine configurations are behavior-preserving: partial-order
-    reduction on/off, certification memoization on/off, and process-
-    pool vs. serial evaluation must each produce bit-identical behavior
-    sets.
+    reduction on/off, certification memoization on/off (which must
+    also explore the same number of states), and process-pool vs.
+    serial evaluation must each produce bit-identical behavior sets.
+``shard``
+    A frontier-sharded exploration (:mod:`repro.parallel.shard`, two
+    workers) reproduces the serial one: behaviors, ``complete``,
+    ``states_explored``, ``cut_paths``, ``stopped_early`` and, for the
+    spec's monitored wDRF passes, every monitor's final state.
+``vm_neutral``
+    The relaxed-virtual-memory feature families only change programs
+    that use the MMU: an MMU-free program has the same behavior set
+    with every feature on and with them stripped.
 ``fuse``
     :func:`repro.vrm.verifier.verify_wdrf` with fused streaming passes
     produces a report bit-identical to the legacy per-condition
@@ -44,9 +53,10 @@ bug, never on an expected relaxed-memory effect:
 ``backend``
     The SAT/BMC backend (:mod:`repro.smt`) enumerates exactly the
     exploration engine's behavior sets on both models, for every
-    program inside the encodable fragment — the relation that keeps
-    the second verification backend honest (and kills the seeded
-    ``bmc-*`` encoder mutants).
+    program inside the encodable fragment, and — given a wDRF spec —
+    reaches the same condition verdicts on every encodable pass: the
+    relation that keeps the second verification backend honest (and
+    kills the seeded ``bmc-*`` encoder mutants).
 ``vm``
     Property-based checks on ``vm`` genomes (the fixed break-before-make
     skeleton run under the ``bbm``/``walk-cache``/``had`` features):
@@ -58,19 +68,27 @@ bug, never on an expected relaxed-memory effect:
     construction; fires on the seeded ``bbm-skipped``,
     ``stale-intermediate-walk`` and ``lost-dirty-bit`` mutants.
 
-:func:`check_genome` selects the sound subset for a genome's profile
-(plus the expensive ``fuse``/``jobs`` oracles when asked) and is the
-single entry point used by the fuzzing engine, the shrinker, and the
-corpus replayer.
+:data:`ORACLES` is the one registry of these relations: each name maps
+to its check function and the kind of witness that explains a failure
+(:data:`MODEL_DIFF`, :data:`CONFIG` or :data:`VM`, read by
+:mod:`repro.obs.render`).  It is the only differential-check mechanism
+in the repository — every optimization is compared with its reference
+path here and nowhere else.  :func:`check_program` runs chosen entries
+on any program (optionally with a full :class:`~repro.vrm.verifier.
+WDRFSpec`); :func:`check_genome` selects the sound subset for a
+genome's profile (plus the expensive ``fuse``/``jobs`` oracles when
+asked) and is the single entry point used by the fuzzing engine, the
+shrinker, and the corpus replayer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.conformance.genome import (
     VM_NEW_VAL,
@@ -82,39 +100,58 @@ from repro.conformance.genome import (
     build,
     shared_locations,
 )
+from repro.ir.instructions import TLBInvalidate, VLoad, VStore
 from repro.ir.program import Program
 from repro.memory.axiomatic import axiomatic_outcomes, eligible
 from repro.memory.cache import cached_explore
 from repro.memory.datatypes import ExplorationResult
-from repro.memory.semantics import PROMISING_ARM, PTE_DIRTY, SC
+from repro.memory.exploration import _explore, explore, por_default_enabled
+from repro.memory.semantics import (
+    PROMISING_ARM,
+    PTE_DIRTY,
+    SC,
+    VM_FEATURES,
+    ModelConfig,
+)
 from repro.smt.backend import bmc_explore, bmc_supported
 from repro.smt.encode import Unsupported
 from repro.parallel import parallel_map
-from repro.vrm.conditions import ConditionResult
+from repro.vrm.conditions import ConditionResult, PassRequest, WDRFReport
 from repro.vrm.drf_kernel import check_drf_kernel, plan_drf_kernel
-from repro.vrm.verifier import WDRFSpec, verify_wdrf
+from repro.vrm.verifier import (
+    WDRFSpec,
+    _condition_plan,
+    plan_passes,
+    run_condition_group,
+    verify_wdrf,
+)
 
 __all__ = [
+    "CONFIG",
+    "MODEL_DIFF",
     "ORACLES",
+    "VM",
     "Disagreement",
+    "Oracle",
+    "Subject",
     "check_genome",
+    "check_program",
     "oracles_for",
+    "vm_neutral_program",
 ]
 
-#: All oracle names, in the order :func:`check_genome` runs them.
-ORACLES: Tuple[str, ...] = (
-    "containment",
-    "equivalence",
-    "axiomatic",
-    "backend",
-    "monitor",
-    "vm",
-    "por",
-    "memo",
-    "portability",
-    "fuse",
-    "jobs",
-)
+#: Witness kinds: how :mod:`repro.obs.render` explains a disagreement.
+#: A cross-model (or cross-backend) behavior diff is explained by a
+#: relaxed execution reaching a behavior SC cannot.
+MODEL_DIFF = "model-diff"
+#: An engine-configuration identity (optimization on vs. off): the
+#: witness program is interesting as a whole, so any relaxed execution
+#: (or, for ``sync`` genomes, an ownership panic) is shown.
+CONFIG = "config"
+#: A property of the relaxed-virtual-memory feature families: the
+#: explanation runs the featured configuration so the walk-level
+#: mechanism is visible in the rendered steps.
+VM = "vm"
 
 #: The sound, always-on oracle subset per generation profile.
 #: ``portability`` runs after the single-model oracles so a mutant that
@@ -152,12 +189,56 @@ class Disagreement:
         return f"[{self.oracle}] {self.detail}"
 
 
+@dataclass(frozen=True)
+class Subject:
+    """One program under check: the SC and relaxed configurations the
+    oracles explore it under, and the wDRF spec (if any) whose passes
+    the spec-aware oracles also compare."""
+
+    program: Program
+    spec: Optional[WDRFSpec] = None
+    sc: ModelConfig = SC
+    rm: ModelConfig = PROMISING_ARM
+
+    @property
+    def observe(self) -> List[int]:
+        """Every location with a declared initial value."""
+        return sorted(self.program.initial_memory)
+
+    def models(self) -> Tuple[Tuple[str, ModelConfig], ...]:
+        """The ``(label, cfg)`` pairs of the two models."""
+        return (("SC", self.sc), ("RM", self.rm))
+
+    def wdrf_spec(self) -> WDRFSpec:
+        """The given spec, or a bare one for the program alone."""
+        return self.spec or WDRFSpec(program=self.program)
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """One registry entry: the check and its witness kind."""
+
+    check: Callable[[Subject], List[Disagreement]]
+    witness: str
+
+
 def oracles_for(profile: str, heavy: bool = False) -> Tuple[str, ...]:
     """The oracle names :func:`check_genome` runs for *profile*."""
     names = _PROFILE_ORACLES[profile]
     if heavy:
         names = names + _HEAVY_ORACLES[profile]
     return names
+
+
+def vm_neutral_program(program: Program) -> bool:
+    """True when no thread of *program* uses the MMU (no virtual access
+    and no TLBI) — the programs whose behavior the VM features must not
+    change."""
+    for thread in program.threads:
+        for instr in thread.instrs:
+            if isinstance(instr, (VLoad, VStore, TLBInvalidate)):
+                return False
+    return True
 
 
 @contextlib.contextmanager
@@ -196,24 +277,45 @@ def _pretty_sorted(behaviors) -> List[str]:
     return sorted(b.pretty() for b in behaviors)
 
 
-def _observe(program: Program) -> List[int]:
-    return sorted(program.initial_memory)
-
-
 def _explore_raw(args) -> ExplorationResult:
     """Module-level (picklable) uncached exploration job for the pool."""
     program, cfg, observe = args
     return cached_explore(program, cfg, observe_locs=observe, cache=False)
 
 
+def _pass_requests(
+    spec: WDRFSpec, names: Sequence[str]
+) -> List[Tuple[str, PassRequest]]:
+    """Fresh ``(name, PassRequest)`` plans (new monitors) for *names*."""
+    return [
+        (name, plan) for name in names
+        for plan in (_condition_plan(spec, name),)
+        if isinstance(plan, PassRequest)
+    ]
+
+
+def _pass_monitors(spec: WDRFSpec, names: Sequence[str]) -> List[object]:
+    """Fresh monitors of the exploring checks among *names*."""
+    return [plan.monitor for _, plan in _pass_requests(spec, names)]
+
+
+def _wdrf_passes(spec: WDRFSpec) -> Iterator[Tuple[Tuple[str, ...], List]]:
+    """Each fused exploration unit of *spec*: its names and plans."""
+    for names in plan_passes(spec, fuse=True):
+        requests = _pass_requests(spec, names)
+        if requests:
+            yield names, requests
+
+
 # ----------------------------------------------------------------------
 # the oracles
 # ----------------------------------------------------------------------
 
-def _check_containment(program: Program) -> List[Disagreement]:
-    observe = _observe(program)
-    sc = cached_explore(program, SC, observe_locs=observe)
-    rm = cached_explore(program, PROMISING_ARM, observe_locs=observe)
+def _check_containment(subject: Subject) -> List[Disagreement]:
+    sc = cached_explore(subject.program, subject.sc,
+                        observe_locs=subject.observe)
+    rm = cached_explore(subject.program, subject.rm,
+                        observe_locs=subject.observe)
     missing = sc.behaviors - rm.behaviors
     if not missing:
         return []
@@ -225,19 +327,20 @@ def _check_containment(program: Program) -> List[Disagreement]:
     )]
 
 
-def _check_portability(program: Program) -> List[Disagreement]:
+def _check_portability(subject: Subject) -> List[Disagreement]:
     from repro.vrm.portability import check_portability
 
     return [
         Disagreement(oracle="portability", detail=problem)
-        for problem in check_portability(program)
+        for problem in check_portability(subject.program, subject.rm)
     ]
 
 
-def _check_equivalence(program: Program) -> List[Disagreement]:
-    observe = _observe(program)
-    sc = cached_explore(program, SC, observe_locs=observe)
-    rm = cached_explore(program, PROMISING_ARM, observe_locs=observe)
+def _check_equivalence(subject: Subject) -> List[Disagreement]:
+    sc = cached_explore(subject.program, subject.sc,
+                        observe_locs=subject.observe)
+    rm = cached_explore(subject.program, subject.rm,
+                        observe_locs=subject.observe)
     rm_only = rm.behaviors - sc.behaviors
     if not rm_only:
         return []
@@ -249,13 +352,12 @@ def _check_equivalence(program: Program) -> List[Disagreement]:
     )]
 
 
-def _check_axiomatic(program: Program) -> List[Disagreement]:
+def _check_axiomatic(subject: Subject) -> List[Disagreement]:
+    program = subject.program
     if not eligible(program):
         return []
     ax = axiomatic_outcomes(program)
-    op = cached_explore(
-        program, PROMISING_ARM, observe_locs=_observe(program)
-    )
+    op = cached_explore(program, subject.rm, observe_locs=subject.observe)
     operational = {(b.registers, b.memory) for b in op.behaviors}
     if ax == operational:
         return []
@@ -268,27 +370,73 @@ def _check_axiomatic(program: Program) -> List[Disagreement]:
     )]
 
 
-def _check_backend(program: Program) -> List[Disagreement]:
+def _check_backend(subject: Subject) -> List[Disagreement]:
+    program = subject.program
     out: List[Disagreement] = []
-    for label, cfg in (("SC", SC), ("RM", PROMISING_ARM)):
+    for label, cfg in subject.models():
         if bmc_supported(program, cfg) is not None:
             continue
-        observe = _observe(program)
         try:
-            solved = bmc_explore(program, cfg, observe, cache=False)
+            solved = bmc_explore(program, cfg, subject.observe, cache=False)
         except Unsupported:
             continue  # domain blow-up found during encoding
-        explored = cached_explore(program, cfg, observe_locs=observe)
+        explored = cached_explore(program, cfg, observe_locs=subject.observe)
         diff = _behaviors_diff("bmc", solved, "exploration", explored)
         if diff:
             out.append(Disagreement(
                 oracle="backend",
                 detail=f"BMC changed the {label} behavior set: {diff}",
             ))
+    if subject.spec is not None:
+        out.extend(
+            Disagreement(oracle="backend", detail=detail)
+            for detail in _backend_verdict_diffs(subject.spec)
+        )
     return out
 
 
-def _check_vm(program: Program) -> List[Disagreement]:
+def _backend_verdict_diffs(spec: WDRFSpec) -> List[str]:
+    """The two backends' wDRF verdicts on every encodable pass.
+
+    Verdicts (``holds``) must match exactly.  ``exhaustive`` is compared
+    as an implication: the solver may legitimately be exhaustive where a
+    budget-cut exploration is not, but never the reverse — unless a
+    ``REPRO_BMC_DEPTH`` bound explains the solver's modesty.  Evidence
+    strings are backend-flavored and intentionally not compared.
+    """
+    from repro.smt.backend import bmc_condition_results, bmc_depth
+
+    diffs: List[str] = []
+    for names, requests in _wdrf_passes(spec):
+        cfg = requests[0][1].cfg
+        monitors = [plan.monitor for _, plan in requests]
+        if bmc_supported(spec.program, cfg, monitors) is not None:
+            continue
+        try:
+            solved = bmc_condition_results(spec.program, cfg, requests,
+                                           cache=False)
+        except Unsupported:
+            continue
+        with _env("REPRO_BACKEND", "explore"):
+            explored = dict(zip(names, run_condition_group(spec, names)))
+        for name in names:
+            if name not in solved:
+                continue
+            e, b = explored[name], solved[name]
+            if e.holds != b.holds:
+                diffs.append(
+                    f"{name}: exploration holds={e.holds}, BMC "
+                    f"holds={b.holds} (BMC violations: {b.violations!r})"
+                )
+            elif e.exhaustive and not b.exhaustive and bmc_depth() is None:
+                diffs.append(
+                    f"{name}: exploration exhaustive but full-depth BMC "
+                    f"is not"
+                )
+    return diffs
+
+
+def _check_vm(subject: Subject) -> List[Disagreement]:
     """The ``vm`` profile's translation-soundness properties.
 
     On the relaxed model with the ``vm`` feature set enabled: (a) every
@@ -298,10 +446,9 @@ def _check_vm(program: Program) -> List[Disagreement]:
     probe store left a dirty leaf entry for vpn B (hardware A/D updates
     are coherence-participating writes).
     """
-    cfg = dataclasses.replace(
-        PROMISING_ARM, vm_features=VM_PROFILE_FEATURES
-    )
-    result = cached_explore(program, cfg, observe_locs=_observe(program))
+    cfg = dataclasses.replace(subject.rm, vm_features=VM_PROFILE_FEATURES)
+    result = cached_explore(subject.program, cfg,
+                            observe_locs=subject.observe)
     stale: List[object] = []
     undirty = 0
     for b in result.behaviors:
@@ -337,15 +484,42 @@ def _check_vm(program: Program) -> List[Disagreement]:
     return out
 
 
-def _check_por(program: Program) -> List[Disagreement]:
+def _check_vm_neutral(subject: Subject) -> List[Disagreement]:
+    # ``explore`` directly: the feature set is part of the cache key, but
+    # an uncached run keeps the check honest under any cache state.
+    if not vm_neutral_program(subject.program):
+        return []
+    features = frozenset(VM_FEATURES)
     out: List[Disagreement] = []
-    for label, cfg in (("SC", SC), ("RM", PROMISING_ARM)):
-        observe = _observe(program)
+    for label, cfg in subject.models():
+        featured = explore(
+            subject.program, dataclasses.replace(cfg, vm_features=features),
+            observe_locs=subject.observe,
+        )
+        stripped = explore(
+            subject.program, dataclasses.replace(cfg, vm_features=frozenset()),
+            observe_locs=subject.observe,
+        )
+        if not (featured.complete and stripped.complete):
+            continue
+        diff = _behaviors_diff("featured", featured, "stripped", stripped)
+        if diff:
+            out.append(Disagreement(
+                oracle="vm_neutral",
+                detail=f"VM features {sorted(features)} changed the "
+                f"{label} behavior set of an MMU-free program: {diff}",
+            ))
+    return out
+
+
+def _check_por(subject: Subject) -> List[Disagreement]:
+    out: List[Disagreement] = []
+    for label, cfg in subject.models():
         reduced = cached_explore(
-            program, cfg, observe_locs=observe, por=True
+            subject.program, cfg, observe_locs=subject.observe, por=True
         )
         full = cached_explore(
-            program, cfg, observe_locs=observe, por=False
+            subject.program, cfg, observe_locs=subject.observe, por=False
         )
         diff = _behaviors_diff("reduced", reduced, "unreduced", full)
         if diff:
@@ -356,33 +530,41 @@ def _check_por(program: Program) -> List[Disagreement]:
     return out
 
 
-def _check_memo(program: Program) -> List[Disagreement]:
-    observe = _observe(program)
+def _check_memo(subject: Subject) -> List[Disagreement]:
+    job = (subject.program, subject.rm, subject.observe)
     with _env("REPRO_CERT_MEMO", "1"):
-        on = _explore_raw((program, PROMISING_ARM, observe))
+        on = _explore_raw(job)
     with _env("REPRO_CERT_MEMO", "0"):
-        off = _explore_raw((program, PROMISING_ARM, observe))
+        off = _explore_raw(job)
+    out: List[Disagreement] = []
     diff = _behaviors_diff("memoized", on, "unmemoized", off)
     if diff:
-        return [Disagreement(
+        out.append(Disagreement(
             oracle="memo",
             detail=f"certification memo changed the RM behavior set: "
             f"{diff}",
-        )]
-    return []
+        ))
+    elif (on.states_explored, on.complete) != (off.states_explored,
+                                                off.complete):
+        # A wrong memo hit that happens not to lose a behavior still
+        # prunes (or adds) promise successors.
+        out.append(Disagreement(
+            oracle="memo",
+            detail=f"certification memo changed the RM search: "
+            f"{on.states_explored} states (complete={on.complete}) "
+            f"memoized vs {off.states_explored} "
+            f"(complete={off.complete}) unmemoized",
+        ))
+    return out
 
 
-def _check_jobs(program: Program) -> List[Disagreement]:
+def _check_jobs(subject: Subject) -> List[Disagreement]:
     # Four items so plan_jobs actually forks with two workers (two items
     # amortize to a serial plan); duplicates are fine — both sides run
     # uncached, so every position is an honest recomputation.
-    observe = _observe(program)
-    items = [
-        (program, SC, observe),
-        (program, PROMISING_ARM, observe),
-        (program, SC, observe),
-        (program, PROMISING_ARM, observe),
-    ]
+    job_sc = (subject.program, subject.sc, subject.observe)
+    job_rm = (subject.program, subject.rm, subject.observe)
+    items = [job_sc, job_rm, job_sc, job_rm]
     pooled = parallel_map(_explore_raw, items, jobs=2)
     serial = [_explore_raw(item) for item in items]
     for idx, (p, s) in enumerate(zip(pooled, serial)):
@@ -395,17 +577,85 @@ def _check_jobs(program: Program) -> List[Disagreement]:
     return []
 
 
-def _check_fuse(program: Program, shared: Tuple[int, ...]) -> List[Disagreement]:
-    spec = WDRFSpec(program=program, shared_locs=shared)
-    fused = verify_wdrf(spec, fuse=True)
-    unfused = verify_wdrf(spec, fuse=False)
-    diffs = []
+def _check_shard(subject: Subject) -> List[Disagreement]:
+    """Two-way frontier sharding against the serial engine.
+
+    Covers plain explorations of both models and, given a spec, every
+    fused monitored pass.  ``EngineStats`` memo-locality counters
+    legitimately differ (each worker owns its memo), so the diff covers
+    the verification-visible fields and the monitor outcomes.  Both
+    sides explore directly: sharding is not part of the cache key, so a
+    cached second run would make the comparison vacuous.
+    """
+    from repro.parallel import shard
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return []  # sharding cannot run here (no fork / pool child)
+    program = subject.program
+    spec = subject.wdrf_spec()
+    por = por_default_enabled()
+    runs = [(label, cfg, subject.observe, ()) for label, cfg in subject.models()]
+    if subject.spec is not None:
+        runs.extend(
+            ("wDRF pass " + "+".join(names), plan.cfg,
+             list(plan.observe_locs), names)
+            for names, ((_, plan), *_) in _wdrf_passes(spec)
+        )
+    out: List[Disagreement] = []
+    for label, cfg, observe, names in runs:
+        sharded_monitors = _pass_monitors(spec, names)
+        sharded = shard.shard_explore(
+            program, cfg, observe, por, sharded_monitors, True, jobs=2,
+        )
+        serial_monitors = _pass_monitors(spec, names)
+        serial = _explore(program, cfg, observe, False, por, serial_monitors)
+        diff = _behaviors_diff("sharded", sharded, "serial", serial)
+        problems = [diff] if diff else []
+        for field_name in ("complete", "states_explored", "cut_paths",
+                           "stopped_early"):
+            got = getattr(sharded, field_name)
+            want = getattr(serial, field_name)
+            if got != want:
+                problems.append(
+                    f"{field_name}: sharded={got!r} serial={want!r}"
+                )
+        for mon_s, mon_r in zip(sharded_monitors, serial_monitors):
+            got, want = mon_s.snapshot(), mon_r.snapshot()
+            if got != want:
+                problems.append(
+                    f"monitor {type(mon_s).__name__}: "
+                    f"sharded={got!r} serial={want!r}"
+                )
+        if problems:
+            out.append(Disagreement(
+                oracle="shard",
+                detail=f"sharded {label} exploration diverged from serial: "
+                + "; ".join(problems),
+            ))
+    return out
+
+
+def _diff_reports(fused: WDRFReport, unfused: WDRFReport) -> List[str]:
+    diffs: List[str] = []
+    if fused.subject != unfused.subject:
+        diffs.append(f"subject: {fused.subject!r} != {unfused.subject!r}")
+    if fused.weakened != unfused.weakened:
+        diffs.append(f"weakened: {fused.weakened} != {unfused.weakened}")
     conditions = set(fused.results) | set(unfused.results)
     for cond in sorted(conditions, key=lambda c: c.value):
         a = fused.results.get(cond)
         b = unfused.results.get(cond)
         if a != b:
             diffs.append(f"{cond.value}: fused {a!r} != per-condition {b!r}")
+    return diffs
+
+
+def _check_fuse(subject: Subject) -> List[Disagreement]:
+    spec = subject.wdrf_spec()
+    diffs = _diff_reports(
+        verify_wdrf(spec, fuse=True), verify_wdrf(spec, fuse=False)
+    )
     if diffs:
         return [Disagreement(
             oracle="fuse",
@@ -415,9 +665,9 @@ def _check_fuse(program: Program, shared: Tuple[int, ...]) -> List[Disagreement]
     return []
 
 
-def _check_monitor(
-    program: Program, shared: Tuple[int, ...]
-) -> List[Disagreement]:
+def _check_monitor(subject: Subject) -> List[Disagreement]:
+    program = subject.program
+    shared = subject.wdrf_spec().shared_locs
     plan = plan_drf_kernel(program, shared)
     if isinstance(plan, ConditionResult):
         # No exploration was planned (uninstrumented program): nothing
@@ -449,6 +699,51 @@ def _check_monitor(
     return [Disagreement(oracle="monitor", detail=detail)]
 
 
+#: The registry: every oracle name, in the order :func:`check_program`
+#: runs them, with its check and witness kind.
+ORACLES: Dict[str, Oracle] = {
+    "containment": Oracle(_check_containment, MODEL_DIFF),
+    "equivalence": Oracle(_check_equivalence, MODEL_DIFF),
+    "axiomatic": Oracle(_check_axiomatic, MODEL_DIFF),
+    "backend": Oracle(_check_backend, MODEL_DIFF),
+    "monitor": Oracle(_check_monitor, CONFIG),
+    "vm": Oracle(_check_vm, VM),
+    "por": Oracle(_check_por, CONFIG),
+    "memo": Oracle(_check_memo, CONFIG),
+    "portability": Oracle(_check_portability, MODEL_DIFF),
+    "vm_neutral": Oracle(_check_vm_neutral, VM),
+    "shard": Oracle(_check_shard, CONFIG),
+    "fuse": Oracle(_check_fuse, CONFIG),
+    "jobs": Oracle(_check_jobs, CONFIG),
+}
+
+
+def check_program(
+    program: Program,
+    oracles: Sequence[str],
+    spec: Optional[WDRFSpec] = None,
+    sc: ModelConfig = SC,
+    rm: ModelConfig = PROMISING_ARM,
+) -> List[Disagreement]:
+    """Run the named oracles on *program*; [] means full agreement.
+
+    *spec* (whose program must be *program*) adds the spec's wDRF passes
+    to the spec-aware oracles (``backend``, ``shard``, ``fuse``,
+    ``monitor``); *sc*/*rm* are the two model configurations the
+    behavior oracles explore.  Oracles run in registry order; an unknown
+    name raises :class:`ValueError`.
+    """
+    unknown = sorted(set(oracles) - set(ORACLES))
+    if unknown:
+        raise ValueError(f"unknown oracle(s) {', '.join(map(repr, unknown))}")
+    subject = Subject(program=program, spec=spec, sc=sc, rm=rm)
+    out: List[Disagreement] = []
+    for name, oracle in ORACLES.items():
+        if name in oracles:
+            out.extend(oracle.check(subject))
+    return out
+
+
 def check_genome(
     genome: Genome,
     oracles: Optional[Sequence[str]] = None,
@@ -464,33 +759,5 @@ def check_genome(
     if oracles is None:
         oracles = oracles_for(genome.profile, heavy=heavy)
     program = build(genome)
-    shared = shared_locations(genome)
-    out: List[Disagreement] = []
-    for name in ORACLES:
-        if name not in oracles:
-            continue
-        if name == "containment":
-            out.extend(_check_containment(program))
-        elif name == "portability":
-            out.extend(_check_portability(program))
-        elif name == "equivalence":
-            out.extend(_check_equivalence(program))
-        elif name == "axiomatic":
-            out.extend(_check_axiomatic(program))
-        elif name == "backend":
-            out.extend(_check_backend(program))
-        elif name == "monitor":
-            out.extend(_check_monitor(program, shared))
-        elif name == "vm":
-            out.extend(_check_vm(program))
-        elif name == "por":
-            out.extend(_check_por(program))
-        elif name == "memo":
-            out.extend(_check_memo(program))
-        elif name == "fuse":
-            out.extend(_check_fuse(program, shared))
-        elif name == "jobs":
-            out.extend(_check_jobs(program))
-        else:
-            raise ValueError(f"unknown oracle {name!r}")
-    return out
+    spec = WDRFSpec(program=program, shared_locs=shared_locations(genome))
+    return check_program(program, oracles, spec=spec)

@@ -28,7 +28,6 @@ from repro.memory.semantics import (
     env_model,
     model_config,
     resolve_model,
-    tso_check_enabled,
 )
 from repro.memory.exploration import explore, explore_or_raise
 from repro.memory.cache import cached_explore, clear_memory_cache
@@ -74,7 +73,6 @@ __all__ = [
     "env_model",
     "model_config",
     "resolve_model",
-    "tso_check_enabled",
     "explore",
     "explore_or_raise",
     "cached_explore",

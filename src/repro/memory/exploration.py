@@ -13,8 +13,8 @@ scale, both behavior-preserving:
   program passes the static soundness gate, threads whose next step
   commutes exactly with every other thread's steps are scheduled
   exclusively, skipping redundant interleavings.  ``REPRO_POR=0``
-  disables the reduction; ``REPRO_POR_CHECK=1`` runs every exploration
-  both ways and asserts the behavior sets are identical.
+  disables the reduction; the ``por`` conformance oracle
+  (:mod:`repro.conformance.oracles`) checks both ways agree.
 * **Canonical state interning** (:class:`repro.memory.state.StateInterner`):
   the visited set stores compact hash-consed keys instead of deep nested
   tuples, so duplicate detection costs O(changed components) per
@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ExplorationBudgetExceeded, VerificationError
+from repro.errors import ExplorationBudgetExceeded
 from repro.ir.program import Program
 from repro.memory.datatypes import (
     Behavior,
@@ -66,10 +66,7 @@ from repro.memory.semantics import (
     promise_steps,
     resolve_model,
     resolve_vm_features,
-    tso_check_enabled,
     tso_flush_steps,
-    vm_check_enabled,
-    vm_neutral_program,
 )
 from repro.memory.state import (
     ExecState,
@@ -83,11 +80,6 @@ from repro.memory.state import (
 def por_default_enabled() -> bool:
     """Partial-order reduction is on unless ``REPRO_POR=0``."""
     return os.environ.get("REPRO_POR", "1") != "0"
-
-
-def por_check_enabled() -> bool:
-    """Cross-check mode: run reduced and unreduced searches, compare."""
-    return os.environ.get("REPRO_POR_CHECK", "0") == "1"
 
 
 def behavior_of(
@@ -197,7 +189,7 @@ def explore(
     marked ``stopped_early``; ``complete`` is untouched).
     ``monitor_cut=False`` keeps delivering the full search even after
     every monitor has stopped — the legacy exhaustive behavior the
-    fusion cross-check and benchmark compare against; a stopped
+    ``fuse`` oracle and benchmark compare against; a stopped
     monitor's counters freeze at its stop point either way, so verdicts
     are bit-identical in both modes.
     ``por`` overrides the partial-order-reduction default (``REPRO_POR``);
@@ -207,82 +199,6 @@ def explore(
     cfg = resolve_model(resolve_vm_features(cfg))
     if por is None:
         por = por_default_enabled()
-    if cfg.tso and tso_check_enabled() and vm_neutral_program(program):
-        # Model-strength cross-check (REPRO_TSO_CHECK=1): the TSO
-        # behavior set must sit between SC and Promising Arm.  Limited
-        # to MMU-free programs, where the three models share one walker
-        # story and the containment argument is unconditional.
-        # ``_explore`` is called directly so the derived configurations
-        # cannot be re-targeted from the environment.
-        from dataclasses import replace as _replace
-
-        tso_res = _explore(program, cfg, observe_locs, False, por)
-        sc_res = _explore(
-            program, _replace(cfg, tso=False, relaxed=False),
-            observe_locs, False, por,
-        )
-        arm_res = _explore(
-            program, _replace(cfg, tso=False, relaxed=True),
-            observe_locs, False, por,
-        )
-        if sc_res.complete and tso_res.complete:
-            missing = sc_res.behaviors - tso_res.behaviors
-            if missing:
-                raise VerificationError(
-                    f"TSO cross-check failed for {program.name!r}: "
-                    f"{len(missing)} SC behavior(s) are not TSO behaviors "
-                    f"(SC ⊆ TSO violated)"
-                )
-        if tso_res.complete and arm_res.complete:
-            extra = tso_res.behaviors - arm_res.behaviors
-            if extra:
-                raise VerificationError(
-                    f"TSO cross-check failed for {program.name!r}: "
-                    f"{len(extra)} TSO behavior(s) are not Arm behaviors "
-                    f"(TSO ⊆ Arm violated)"
-                )
-    if cfg.vm_features and vm_check_enabled() and vm_neutral_program(program):
-        # Bit-identity cross-check (REPRO_VM_CHECK=1): the VM feature
-        # families may only change programs that actually exercise the
-        # MMU.  For MMU-free programs, explore with the features on and
-        # off and require identical behavior sets.  ``_explore`` is
-        # called directly so the stripped config cannot be re-filled
-        # from the environment.
-        from dataclasses import replace as _replace
-
-        featured = _explore(program, cfg, observe_locs, False, por)
-        stripped = _explore(
-            program, _replace(cfg, vm_features=frozenset()),
-            observe_locs, False, por,
-        )
-        if featured.complete and stripped.complete:
-            if featured.behaviors != stripped.behaviors:
-                raise VerificationError(
-                    f"VM-feature cross-check failed for {program.name!r}: "
-                    f"features {sorted(cfg.vm_features)} changed the "
-                    f"behavior set of an MMU-free program "
-                    f"({len(featured.behaviors)} vs "
-                    f"{len(stripped.behaviors)} behaviors)"
-                )
-    if por_check_enabled():
-        # The comparison must see full behavior sets, so both cross-check
-        # searches run monitor-free; the caller's monitors are then fed
-        # by a third search in the requested mode.
-        reduced = _explore(program, cfg, observe_locs, keep_terminal_states, True)
-        baseline = _explore(program, cfg, observe_locs, keep_terminal_states, False)
-        if reduced.complete and baseline.complete:
-            if reduced.behaviors != baseline.behaviors:
-                raise VerificationError(
-                    f"POR cross-check failed for {program.name!r}: "
-                    f"reduced search found {len(reduced.behaviors)} behaviors, "
-                    f"unreduced {len(baseline.behaviors)}"
-                )
-        if monitors:
-            return _explore(
-                program, cfg, observe_locs, keep_terminal_states, por,
-                monitors, monitor_cut,
-            )
-        return reduced if por else baseline
     if (
         not keep_terminal_states
         and os.environ.get("REPRO_SHARD", "0") not in ("", "0", "1")

@@ -37,9 +37,9 @@ TLB invalidations feed the walker floor, and push/pull transfers
 ownership between threads.  :func:`por_eligible` therefore admits only
 programs built from plain loads, plain stores, and local control flow,
 run without the push/pull discipline; everything else falls back to the
-full (unreduced) exploration.  The ``REPRO_POR_CHECK=1`` environment
-switch makes :func:`repro.memory.exploration.explore` run both searches
-and assert the behavior sets coincide.
+full (unreduced) exploration.  The ``por`` conformance oracle
+(:mod:`repro.conformance.oracles`) runs both searches and asserts the
+behavior sets coincide.
 """
 
 from __future__ import annotations

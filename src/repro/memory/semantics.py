@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError, ProgramError, VerificationError
+from repro.errors import ExecutionError, ProgramError
 from repro.ir.expr import Expr
 from repro.ir.instructions import (
     Barrier,
@@ -183,15 +183,6 @@ def resolve_model(cfg: ModelConfig) -> ModelConfig:
     return replace(cfg, relaxed=False)
 
 
-def tso_check_enabled() -> bool:
-    """Cross-check mode (``REPRO_TSO_CHECK=1``): TSO explorations of
-    MMU-free programs are sandwiched between the other two models —
-    every SC behavior must be a TSO behavior and every TSO behavior an
-    Arm behavior — and any containment violation raises.  The executable
-    form of the model-strength hierarchy, continuously checked."""
-    return os.environ.get("REPRO_TSO_CHECK", "0") == "1"
-
-
 # ---------------------------------------------------------------------------
 # relaxed-virtual-memory feature families (Simner et al., "Relaxed virtual
 # memory in Armv8-A")
@@ -264,25 +255,6 @@ def resolve_vm_features(cfg: ModelConfig) -> ModelConfig:
     if env:
         return replace(cfg, vm_features=env)
     return cfg
-
-
-def vm_check_enabled() -> bool:
-    """Cross-check mode (``REPRO_VM_CHECK=1``): explorations of
-    VM-feature-free programs run with and without the enabled features
-    and any behavior difference raises — the bit-identity guarantee the
-    feature gates promise, continuously checked."""
-    return os.environ.get("REPRO_VM_CHECK", "0") == "1"
-
-
-def vm_neutral_program(program: Program) -> bool:
-    """True when no thread of *program* uses the MMU (no virtual access
-    and no TLBI) — the programs whose behavior the VM features must not
-    change."""
-    for thread in program.threads:
-        for instr in thread.instrs:
-            if isinstance(instr, (VLoad, VStore, TLBInvalidate)):
-                return False
-    return True
 
 
 class ProgramCache:
@@ -1420,12 +1392,6 @@ def cert_memo_enabled() -> bool:
     return os.environ.get("REPRO_CERT_MEMO", "1") != "0"
 
 
-def cert_memo_check_enabled() -> bool:
-    """Cross-check mode (``REPRO_CERT_MEMO_CHECK=1``): every memo hit is
-    recomputed from scratch and any disagreement raises."""
-    return os.environ.get("REPRO_CERT_MEMO_CHECK", "0") == "1"
-
-
 class CertMemo:
     """Per-exploration memo for the certification searches.
 
@@ -1454,8 +1420,7 @@ class CertMemo:
     refuse to call a budget-cut behavior set complete.
     """
 
-    __slots__ = ("interner", "stats", "enabled", "check", "_verdicts",
-                 "_candidates")
+    __slots__ = ("interner", "stats", "enabled", "_verdicts", "_candidates")
 
     def __init__(
         self,
@@ -1467,7 +1432,6 @@ class CertMemo:
         self.interner = interner
         self.stats = stats if stats is not None else EngineStats()
         self.enabled = cert_memo_enabled()
-        self.check = cert_memo_check_enabled()
         self._verdicts: Dict[Tuple, Tuple[bool, bool]] = {}
         self._candidates: Dict[Tuple, Tuple[FrozenSet, bool]] = {}
 
@@ -1612,14 +1576,6 @@ def collect_promise_candidates(
             stats.candidate_memo_hits += 1
             if hit_budget:
                 stats.cert_budget_hits += 1
-            if memo.check:
-                fresh, _ = _collect_search(cache, state, tidx, cfg, memo)
-                if fresh != candidates:
-                    raise VerificationError(
-                        f"certification-memo cross-check failed: cached "
-                        f"promise candidates {sorted(candidates)} != "
-                        f"recomputed {sorted(fresh)} for thread {tidx}"
-                    )
             return candidates
     candidates, hit_budget = _collect_search(cache, state, tidx, cfg, memo)
     if stats is not None and hit_budget:
@@ -1643,8 +1599,8 @@ def certify(
     memory, reach a configuration with no outstanding promises.  With a
     :class:`CertMemo`, verdicts are cached per (thread, context,
     timeline) and the exploration's shared interner backs the visited
-    set; ``REPRO_CERT_MEMO=0`` disables the cache and
-    ``REPRO_CERT_MEMO_CHECK=1`` recomputes every hit from scratch.
+    set; ``REPRO_CERT_MEMO=0`` disables the cache (the ``memo``
+    conformance oracle compares both settings).
     """
     stats = memo.stats if memo is not None else None
     if stats is not None:
@@ -1658,14 +1614,6 @@ def certify(
             stats.certify_memo_hits += 1
             if hit_budget:
                 stats.cert_budget_hits += 1
-            if memo.check:
-                fresh, _ = _certify_search(cache, state, tidx, cfg, memo)
-                if fresh != verdict:
-                    raise VerificationError(
-                        f"certification-memo cross-check failed: cached "
-                        f"verdict {verdict} != recomputed {fresh} for "
-                        f"thread {tidx}"
-                    )
             return verdict
     verdict, hit_budget = _certify_search(cache, state, tidx, cfg, memo)
     if stats is not None and hit_budget:

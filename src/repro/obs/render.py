@@ -22,24 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracer
 
-#: Oracles whose witness is a cross-model behavior disagreement: the
-#: explanation is an RM execution reaching a behavior SC cannot.
-#: ``backend`` belongs here: its disagreement is a behavior-set diff
-#: between the SAT backend and exploration, and a relaxed execution of
-#: the program is the right witness to render.
-_MODEL_DIFF_ORACLES = ("containment", "equivalence", "axiomatic", "backend")
-
-#: Oracles about engine-configuration identity (POR on/off, memo
-#: on/off, pool vs serial, fused vs per-condition): the witness program
-#: is interesting as a whole, so any relaxed execution is shown.
-_CONFIG_ORACLES = ("por", "memo", "jobs", "fuse")
-
-#: Oracles whose witness only exists under the relaxed-virtual-memory
-#: feature families: the explanation runs the featured configuration so
-#: the walk-level mechanism (BBM window, cached intermediate entry,
-#: hardware A/D write) is visible in the rendered steps.
-_VM_ORACLES = ("vm",)
-
 
 def _thread_index(program, tid: int) -> Optional[int]:
     """Map a CPU id to its index in ``state.threads`` (None if unknown)."""
@@ -355,17 +337,22 @@ def explain_conformance_entry(entry: Dict[str, Any]):
     Returns ``(trace, program, notes)``; ``trace`` is ``None`` when no
     execution illustrating the disagreement could be found within the
     budget.  The shrunk genome is preferred (it is the 1-minimal
-    witness).  The execution searched for depends on the oracle:
+    witness).  The execution searched for depends on the witness kind
+    the oracle registry (:data:`repro.conformance.oracles.ORACLES`)
+    records for the oracle:
 
-    * behavior oracles (containment/equivalence/axiomatic) — an RM
-      execution reaching a behavior outside the SC set, the concrete
-      relaxed-memory effect behind the disagreement;
-    * monitor/fuse disagreements on ``sync`` genomes — a push/pull
-      execution reaching a DRF panic;
-    * engine-configuration oracles (por/memo/jobs) and everything else —
-      a representative relaxed execution of the witness program.
+    * ``vm`` (and every ``vm`` genome) — under the VM feature families,
+      a stale-translation behavior of the ``vm`` skeleton or a behavior
+      the features add to an MMU-free program;
+    * ``model-diff`` — an RM execution reaching a behavior outside the
+      SC set, the concrete relaxed-memory effect behind the
+      disagreement;
+    * ``config`` (and unknown oracles) — on ``sync`` genomes a push/pull
+      execution reaching a DRF panic, otherwise a representative
+      relaxed execution of the witness program.
     """
     from repro.conformance.genome import Genome, build, shared_locations
+    from repro.conformance.oracles import CONFIG, MODEL_DIFF, ORACLES, VM
     from repro.memory.behaviors import compare_models
     from repro.memory.semantics import PROMISING_ARM
     from repro.memory.trace import find_execution
@@ -374,6 +361,7 @@ def explain_conformance_entry(entry: Dict[str, Any]):
     genome = Genome.from_json(genome_json)
     program = build(genome)
     oracle = str(entry.get("oracle", ""))
+    kind = ORACLES[oracle].witness if oracle in ORACLES else CONFIG
     notes = [
         f"oracle: {oracle}",
         f"detail: {entry.get('detail', '')}",
@@ -381,7 +369,7 @@ def explain_conformance_entry(entry: Dict[str, Any]):
         + (", shrunk)" if entry.get("shrunk_genome") else ")"),
     ]
 
-    if genome.profile == "vm" or oracle in _VM_ORACLES:
+    if genome.profile == "vm" or kind == VM:
         from dataclasses import replace
 
         from repro.conformance.genome import VM_NEW_VAL, VM_PROFILE_FEATURES
@@ -389,21 +377,27 @@ def explain_conformance_entry(entry: Dict[str, Any]):
 
         cfg = replace(PROMISING_ARM, vm_features=VM_PROFILE_FEATURES)
         featured = explore(program, cfg)
-        stale = sorted(
-            b for b in featured.behaviors
-            if b.panic is None
-            and not any(f.tid == 1 for f in b.faults)
-            and any(
-                t == 1 and r == "r_chk" and v != VM_NEW_VAL
-                for t, r, v in b.registers
-            )
-        )
-        if stale:
+        if genome.profile == "vm":
+            label = "stale-translation"
+            odd = [
+                b for b in featured.behaviors
+                if b.panic is None
+                and not any(f.tid == 1 for f in b.faults)
+                and any(
+                    t == 1 and r == "r_chk" and v != VM_NEW_VAL
+                    for t, r, v in b.registers
+                )
+            ]
+        else:
+            label = "feature-only"
+            odd = featured.behaviors - explore(program, PROMISING_ARM).behaviors
+        odd = sorted(odd)
+        if odd:
             notes.append(
-                f"witness: stale-translation behavior {stale[0].pretty()} "
+                f"witness: {label} behavior {odd[0].pretty()} "
                 f"under VM features {sorted(VM_PROFILE_FEATURES)}"
             )
-            target = stale[0]
+            target = odd[0]
         elif featured.behaviors:
             notes.append(
                 "witness: representative execution under VM features "
@@ -416,7 +410,7 @@ def explain_conformance_entry(entry: Dict[str, Any]):
         trace = find_execution(program, cfg, lambda b: b == target)
         return trace, program, notes
 
-    if genome.profile == "sync" and oracle not in _MODEL_DIFF_ORACLES:
+    if genome.profile == "sync" and kind != MODEL_DIFF:
         trace = explain_drf_violation(program, shared_locations(genome))
         if trace is not None:
             notes.append(

@@ -197,7 +197,6 @@ def _time_wdrf(fuse: bool) -> Dict[str, float]:
     with _env(
         REPRO_EXPLORE_CACHE="0",
         REPRO_EXPLORE_MEMO="0",
-        REPRO_FUSE_CHECK="0",
         REPRO_SHARD="0",
     ):
         start = time.perf_counter()
@@ -317,7 +316,6 @@ def _time_wdrf_backend(backend: str) -> Dict[str, float]:
     with _env(
         REPRO_EXPLORE_CACHE="0",
         REPRO_BACKEND=backend,
-        REPRO_BACKEND_CHECK="0",
         REPRO_SHARD="0",
     ):
         start = time.perf_counter()

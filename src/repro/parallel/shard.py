@@ -69,7 +69,6 @@ from multiprocessing import shared_memory
 from queue import Empty
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import VerificationError
 from repro.ir.program import Program
 from repro.memory.datatypes import (
     Behavior,
@@ -102,27 +101,7 @@ __all__ = [
     "SharedVisitedFilter",
     "maybe_shard_explore",
     "shard_explore",
-    "shard_check_enabled",
 ]
-
-
-def shard_check_enabled() -> bool:
-    """``REPRO_SHARD_CHECK=1`` re-runs every sharded exploration
-    serially and diffs the results (the REPRO_POR_CHECK idiom)."""
-    return os.environ.get("REPRO_SHARD_CHECK", "0") == "1"
-
-
-def _steal_batch_size() -> int:
-    """Steal granularity (``REPRO_SHARD_STEAL_BATCH``, default 8).
-
-    Batched stealing amortizes queue/pickle overhead against the
-    dominant per-state cost — promise certification — which makes even
-    small batches of promise-heavy states worth shipping.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_SHARD_STEAL_BATCH", "8")))
-    except ValueError:
-        return 8
 
 
 def _shard_timeout() -> float:
@@ -143,15 +122,14 @@ def _shard_timeout() -> float:
         return 0.0
 
 
-def _filter_slots() -> int:
-    """Visited-filter capacity from ``REPRO_SHARD_FILTER_MB`` (16-byte
-    slots; default 16 MiB ≈ 1M slots, ~6x the largest tracked run)."""
-    try:
-        mb = max(1, int(os.environ.get("REPRO_SHARD_FILTER_MB", "16")))
-    except ValueError:
-        mb = 16
-    return (mb * 1024 * 1024) // 16
+#: Steal granularity: batched stealing amortizes queue/pickle overhead
+#: against the dominant per-state cost — promise certification — which
+#: makes even small batches of promise-heavy states worth shipping.
+_STEAL_BATCH = 8
 
+#: Visited-filter capacity in 16-byte slots: 16 MiB ≈ 1M slots, ~6x the
+#: largest tracked run.
+_FILTER_SLOTS = (16 * 1024 * 1024) // 16
 
 #: Name of the most recently created filter segment — a test seam for
 #: asserting the segment was unlinked (re-attach must fail).
@@ -208,7 +186,7 @@ class SharedVisitedFilter:
         if ctx is None:
             ctx = multiprocessing.get_context("fork")
         if nslots is None:
-            nslots = _filter_slots()
+            nslots = _FILTER_SLOTS
         # Round up so every stripe has the same whole number of slots.
         stripes = self.STRIPES
         nslots = ((max(nslots, stripes) + stripes - 1) // stripes) * stripes
@@ -382,7 +360,7 @@ def _worker_body(
     fp_memo = FingerprintMemo()
     project = state_projection(cache, cfg)
     sink = tracer.SINK
-    steal_batch = _steal_batch_size()
+    steal_batch = _STEAL_BATCH
     # The fork-inherited filter object carries the parent's process-local
     # counters from the seed phase; report deltas from this baseline so
     # the parent's aggregation doesn't double-count the seed once per
@@ -993,49 +971,6 @@ def shard_explore(
         vfilter.close()
 
 
-def _checked(
-    program, cfg, observe_locs, por, monitors, monitor_cut, jobs,
-) -> ExplorationResult:
-    """``REPRO_SHARD_CHECK=1``: run sharded, rerun serial, diff.
-
-    ``EngineStats`` memo-locality counters legitimately differ (each
-    worker owns its memo), so the diff covers the verification-visible
-    fields and the monitor outcomes, not whole-result equality.
-    """
-    monitor_list = list(monitors or ())
-    init_snaps = [m.snapshot() for m in monitor_list]
-    sharded = shard_explore(
-        program, cfg, observe_locs, por, monitor_list, monitor_cut, jobs,
-    )
-    post_snaps = [m.snapshot() for m in monitor_list]
-    for monitor, snap in zip(monitor_list, init_snaps):
-        monitor.restore(snap)
-    serial = _explore(
-        program, cfg, observe_locs, False, por, monitor_list, monitor_cut,
-    )
-    serial_snaps = [m.snapshot() for m in monitor_list]
-
-    problems = []
-    for field_name in ("behaviors", "complete", "states_explored",
-                       "cut_paths", "stopped_early"):
-        got = getattr(sharded, field_name)
-        want = getattr(serial, field_name)
-        if got != want:
-            problems.append(f"{field_name}: sharded={got!r} serial={want!r}")
-    for monitor, got, want in zip(monitor_list, post_snaps, serial_snaps):
-        if got != want:
-            problems.append(
-                f"monitor {type(monitor).__name__}: "
-                f"sharded={got!r} serial={want!r}"
-            )
-    if problems:
-        raise VerificationError(
-            f"shard cross-check failed for {program.name!r} "
-            f"(jobs={jobs}): " + "; ".join(problems)
-        )
-    return sharded
-
-
 def maybe_shard_explore(
     program: Program,
     cfg: ModelConfig,
@@ -1058,10 +993,6 @@ def maybe_shard_explore(
         return None
     if multiprocessing.current_process().daemon:
         return None
-    if shard_check_enabled():
-        return _checked(
-            program, cfg, observe_locs, por, monitors, monitor_cut, jobs,
-        )
     return shard_explore(
         program, cfg, observe_locs, por, monitors, monitor_cut, jobs,
     )

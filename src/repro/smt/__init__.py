@@ -9,8 +9,8 @@ and :mod:`repro.smt.backend` answers the same questions the explorer
 answers (litmus behavior sets, wDRF condition verdicts) by bounded
 model checking over that encoding.  :mod:`repro.smt.router` picks the
 cheaper backend per query from a small cost model, behind the
-``REPRO_BACKEND={explore,bmc,auto}`` knob, with ``REPRO_BACKEND_CHECK=1``
-running both engines and raising on any verdict disagreement.
+``REPRO_BACKEND={explore,bmc,auto}`` knob; the ``backend`` conformance
+oracle keeps the two engines' answers identical.
 """
 
 from repro.smt.backend import (
@@ -24,7 +24,6 @@ from repro.smt.backend import (
 from repro.smt.encode import ProgramEncoding, Unsupported
 from repro.smt.router import (
     RouteDecision,
-    backend_check_enabled,
     backend_default,
     decide,
     route,
@@ -38,7 +37,6 @@ __all__ = [
     "SatStats",
     "Solver",
     "Unsupported",
-    "backend_check_enabled",
     "backend_default",
     "bmc_behaviors",
     "bmc_condition_results",

@@ -540,8 +540,8 @@ def bmc_witness_trace(
     :class:`ExecutionTrace` (rendered by ``obs.render`` like any
     exploration counterexample).  Returns None when the monitor kind
     has no dynamic violations or no operational execution reproduces
-    one — the latter would mean the solver over-approximated, which
-    the backend cross-check treats as a hard failure.
+    one — the latter would mean the solver over-approximated, a
+    backend bug.
     """
     state_predicate = _witness_predicate(monitor)
     if state_predicate is None:

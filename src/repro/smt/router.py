@@ -12,9 +12,9 @@ is free).
 Knobs (documented in docs/API.md):
 
 * ``REPRO_BACKEND`` — ``explore`` (default), ``bmc``, or ``auto``.
-* ``REPRO_BACKEND_CHECK=1`` — run both backends and fail verification
-  on any verdict disagreement (the cross-backend discipline of
-  ``REPRO_POR_CHECK`` / ``REPRO_SHARD_CHECK``).
+
+The ``backend`` conformance oracle (:mod:`repro.conformance.oracles`)
+compares the two backends' behavior sets and wDRF verdicts.
 
 :func:`decide` is a pure function of a feature dict so the routing
 policy is unit-testable under forced features; :func:`route` computes
@@ -36,7 +36,6 @@ from repro.smt.encode import quick_unsupported
 
 __all__ = [
     "RouteDecision",
-    "backend_check_enabled",
     "backend_default",
     "decide",
     "features_of",
@@ -65,11 +64,6 @@ def backend_default() -> str:
             f"REPRO_BACKEND must be one of {_BACKENDS}, got {value!r}"
         )
     return value
-
-
-def backend_check_enabled() -> bool:
-    """``REPRO_BACKEND_CHECK=1``: run both backends, compare verdicts."""
-    return os.environ.get("REPRO_BACKEND_CHECK", "0") == "1"
 
 
 @dataclass(frozen=True)

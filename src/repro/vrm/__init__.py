@@ -54,7 +54,6 @@ from repro.vrm.theorem import (
 from repro.vrm.verifier import (
     VerifyStats,
     WDRFSpec,
-    fuse_check_enabled,
     fuse_default_enabled,
     pass_fingerprints,
     plan_passes,
@@ -98,7 +97,6 @@ __all__ = [
     "kernel_projection",
     "VerifyStats",
     "WDRFSpec",
-    "fuse_check_enabled",
     "fuse_default_enabled",
     "pass_fingerprints",
     "plan_passes",

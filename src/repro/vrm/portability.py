@@ -23,8 +23,7 @@ Two granularities:
 
 * :func:`check_portability` — the behavior-set containment oracle on
   one program, used by the ``portability`` conformance oracle
-  (:mod:`repro.conformance.oracles`) on fuzzed programs and by
-  ``REPRO_TSO_CHECK=1`` inside the explorer.
+  (:mod:`repro.conformance.oracles`) on fuzzed and catalog programs.
 * :func:`build_matrix` — re-verifies the whole litmus catalog (all
   three verdict columns plus both containment directions per test) and
   the SeKVM KCore corpus (the wDRF verdict under each ``REPRO_MODEL``,

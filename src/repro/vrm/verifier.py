@@ -32,8 +32,8 @@ and Write-Once with Memory-Isolation (identical relaxed base
 configuration), cutting ``verify_wdrf`` to at most two explorations.
 Because the DFS order is deterministic, every monitor observes the same
 callback prefix fused or alone, so fused reports are bit-identical to
-per-condition ones; ``REPRO_FUSE_CHECK=1`` verifies exactly that on
-every call, mirroring the POR/memo cross-check pattern.  ``REPRO_FUSE=0``
+per-condition ones; the ``fuse`` conformance oracle
+(:mod:`repro.conformance.oracles`) checks exactly that.  ``REPRO_FUSE=0``
 (or the CLI's ``--no-fuse``) disables the whole streaming pipeline:
 every check runs as its own *exhaustive* pass — the legacy layout,
 with monitor early-exit off as well as fusion.
@@ -47,7 +47,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import VerificationError
 from repro.ir.program import Program
 from repro.memory.cache import (
     cached_explore,
@@ -113,11 +112,6 @@ _NON_EXPLORING: Tuple[str, ...] = ("transactional", "tlb_sequential")
 def fuse_default_enabled() -> bool:
     """Pass fusion is on unless ``REPRO_FUSE=0``."""
     return os.environ.get("REPRO_FUSE", "1") != "0"
-
-
-def fuse_check_enabled() -> bool:
-    """Cross-check mode: run fused and per-condition passes, compare."""
-    return os.environ.get("REPRO_FUSE_CHECK", "0") == "1"
 
 
 @dataclass
@@ -238,11 +232,9 @@ def _run_condition_group(
                     f"cannot fuse {name!r} with {requests[0][0]!r}: "
                     f"exploration configurations differ"
                 )
-        from repro.smt.router import backend_check_enabled
-
         monitors = [plan.monitor for _, plan in requests]
         bmc_results = _maybe_bmc(spec, base, requests, monitors, collect)
-        if bmc_results is not None and not backend_check_enabled():
+        if bmc_results is not None:
             results.update(bmc_results)
             return [results[name] for name in names]
         exploration = cached_explore(
@@ -263,8 +255,6 @@ def _run_condition_group(
             )
         for name, plan in requests:
             results[name] = plan.monitor.finalize(exploration)
-        if bmc_results is not None and backend_check_enabled():
-            _compare_backends(spec, results, bmc_results, names)
     return [results[name] for name in names]
 
 
@@ -278,23 +268,20 @@ def _maybe_bmc(
     """BMC verdicts for one fused group, or None to use exploration.
 
     Consults the backend knob (``REPRO_BACKEND``) and, in ``auto`` mode,
-    the cost-model router.  With ``REPRO_BACKEND_CHECK=1`` the verdicts
-    are computed whenever the group is encodable — regardless of routing
-    — so the caller can cross-check them against exploration.
+    the cost-model router.
     """
     # Imported lazily: repro.smt.backend consumes repro.vrm.conditions,
     # so a module-level import here would be circular.
     from repro.smt.backend import bmc_condition_results, bmc_supported
     from repro.smt.encode import Unsupported
-    from repro.smt.router import backend_check_enabled, backend_default, route
+    from repro.smt.router import backend_default, route
 
     backend = backend_default()
-    check = backend_check_enabled()
-    if backend == "explore" and not check:
+    if backend == "explore":
         return None
     if bmc_supported(spec.program, base.cfg, monitors) is not None:
         return None
-    if backend == "auto" and not check:
+    if backend == "auto":
         decision = route(
             spec.program, base.cfg, base.observe_locs, monitors
         )
@@ -311,43 +298,6 @@ def _maybe_bmc(
     if metrics.ENABLED:
         metrics.REGISTRY.counter("verify.bmc_passes").inc()
     return verdicts
-
-
-def _compare_backends(
-    spec: WDRFSpec,
-    explored: Dict[str, ConditionResult],
-    bmc: Dict[str, ConditionResult],
-    names: Tuple[str, ...],
-) -> None:
-    """``REPRO_BACKEND_CHECK=1``: the two backends must agree.
-
-    Verdicts (``holds``) must match exactly.  ``exhaustive`` is compared
-    as an implication: the solver may legitimately be exhaustive where a
-    budget-cut exploration is not, but never the reverse — unless a
-    ``REPRO_BMC_DEPTH`` bound explains the solver's modesty.  Evidence
-    strings are backend-flavored and intentionally not compared.
-    """
-    from repro.smt.backend import bmc_depth
-
-    diffs: List[str] = []
-    for name in names:
-        if name not in bmc or name not in explored:
-            continue
-        e, b = explored[name], bmc[name]
-        if e.holds != b.holds:
-            diffs.append(
-                f"{name}: exploration holds={e.holds}, BMC holds={b.holds} "
-                f"(BMC violations: {b.violations!r})"
-            )
-        elif e.exhaustive and not b.exhaustive and bmc_depth() is None:
-            diffs.append(
-                f"{name}: exploration exhaustive but full-depth BMC is not"
-            )
-    if diffs:
-        raise VerificationError(
-            f"backend cross-check failed for {spec.program.name!r}: "
-            + "; ".join(diffs)
-        )
 
 
 def plan_passes(
@@ -442,21 +392,6 @@ def pass_fingerprints(
     return keys
 
 
-def _diff_reports(fused: WDRFReport, unfused: WDRFReport) -> List[str]:
-    diffs: List[str] = []
-    if fused.subject != unfused.subject:
-        diffs.append(f"subject: {fused.subject!r} != {unfused.subject!r}")
-    if fused.weakened != unfused.weakened:
-        diffs.append(f"weakened: {fused.weakened} != {unfused.weakened}")
-    conditions = set(fused.results) | set(unfused.results)
-    for cond in sorted(conditions, key=lambda c: c.value):
-        a = fused.results.get(cond)
-        b = unfused.results.get(cond)
-        if a != b:
-            diffs.append(f"{cond.value}: fused {a!r} != per-condition {b!r}")
-    return diffs
-
-
 def _verify(
     spec: WDRFSpec,
     jobs: Optional[int],
@@ -498,10 +433,7 @@ def verify_wdrf(
     ``jobs`` fans the independent units of work out over a process pool
     (``None``/``0`` = serial, negative = all CPUs); the report is merged
     in the fixed condition order either way.  ``fuse`` overrides the
-    pass-fusion default (``REPRO_FUSE``); with ``REPRO_FUSE_CHECK=1``
-    and no explicit ``fuse``, the fused and per-condition reports are
-    both computed and any difference raises
-    :class:`~repro.errors.VerificationError`.
+    pass-fusion default (``REPRO_FUSE``).
 
     Orthogonally, ``REPRO_SHARD``/``--shard-jobs`` shards each
     *individual* exploration pass over work-stealing workers
@@ -513,16 +445,6 @@ def verify_wdrf(
     shard (see :func:`repro.parallel.pool.plan_jobs`), so the budget is
     never multiplied.
     """
-    if fuse is None and fuse_check_enabled():
-        fused = _verify(spec, jobs, True, collect)
-        unfused = _verify(spec, jobs, False, None)
-        diffs = _diff_reports(fused, unfused)
-        if diffs:
-            raise VerificationError(
-                f"fusion cross-check failed for {spec.program.name!r}: "
-                + "; ".join(diffs)
-            )
-        return fused
     if fuse is None:
         fuse = fuse_default_enabled()
     return _verify(spec, jobs, fuse, collect)

@@ -14,6 +14,7 @@ discipline the exploration optimizations use:
 import pytest
 
 from repro.conformance import build, check_genome, derive_rng, random_genome
+from repro.conformance.oracles import check_program
 from repro.ir import PTKind, ThreadBuilder, build_program
 from repro.litmus.catalog import classic_corpus, full_corpus
 from repro.litmus.runner import SC_CFG, rm_config, run_litmus
@@ -30,7 +31,6 @@ from repro.smt import (
     BmcStats,
     ProgramEncoding,
     Unsupported,
-    backend_check_enabled,
     backend_default,
     bmc_behaviors,
     bmc_condition_results,
@@ -193,10 +193,12 @@ class TestLitmusAgreement:
             outcome = run_litmus(test, cache=False, backend="bmc")
             assert outcome.passed, outcome.describe()
 
-    def test_backend_check_mode_agrees_end_to_end(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_CHECK", "1")
-        assert backend_check_enabled()
+    def test_backend_check_mode_agrees_end_to_end(self):
         for test in classic_corpus()[:4]:
+            assert check_program(
+                test.program, ("backend",),
+                sc=SC_CFG, rm=rm_config(test.max_promises),
+            ) == [], test.name
             outcome = run_litmus(test, cache=False, backend="auto")
             assert outcome.passed, outcome.describe()
 
@@ -204,7 +206,6 @@ class TestLitmusAgreement:
 class TestConditionBackend:
     def _verify(self, spec, monkeypatch, backend):
         monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_BACKEND_CHECK", "0")
         monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
         return verify_wdrf(spec)
 
@@ -228,18 +229,42 @@ class TestConditionBackend:
         ].violations
 
     def test_check_mode_runs_both_and_agrees(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
-        monkeypatch.setenv("REPRO_BACKEND_CHECK", "1")
+        monkeypatch.setenv("REPRO_BACKEND", "bmc")
         monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
         spec = WDRFSpec(
             program=violating_pt_program(),
             kernel_pt_locs=(VIOLATING_LOC,),
         )
+        assert check_program(spec.program, ("backend",), spec=spec) == []
         stats = VerifyStats()
         report = verify_wdrf(spec, collect=stats)
         assert not report.all_hold
         assert stats.bmc_passes >= 1
         assert stats.as_dict()["bmc_passes"] == stats.bmc_passes
+
+    def test_check_mode_catches_a_flipped_verdict(self, monkeypatch):
+        # A solver that answers "holds" for every condition must be
+        # caught by the oracle's verdict comparison.
+        from dataclasses import replace
+
+        from repro.smt import backend
+
+        honest = backend.bmc_condition_results
+
+        def optimistic(*args, **kwargs):
+            return {
+                name: replace(result, holds=True, violations=())
+                for name, result in honest(*args, **kwargs).items()
+            }
+
+        monkeypatch.setattr(backend, "bmc_condition_results", optimistic)
+        monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
+        spec = WDRFSpec(
+            program=violating_pt_program(),
+            kernel_pt_locs=(VIOLATING_LOC,),
+        )
+        found = check_program(spec.program, ("backend",), spec=spec)
+        assert any("write_once" in d.detail for d in found), found
 
     def test_witness_replays_into_operational_trace(self):
         program = violating_pt_program()

@@ -3,15 +3,17 @@
 The contract under test: ``CertMemo`` (and the bisect-based pair-tuple
 primitives and static promisability pruning underneath it) is a pure
 optimization.  Behavior sets AND the number of states explored must be
-identical with ``REPRO_CERT_MEMO=0`` and ``=1``, across the whole
-litmus catalog and a fuzzed population of random programs; budget-cut
-certification searches must be surfaced, never silently absorbed.
+identical with ``REPRO_CERT_MEMO=0`` and ``=1`` — the ``memo``
+conformance oracle, run here on a fuzzed population of random programs
+and a seeded wrong memo key; budget-cut certification searches must be
+surfaced, never silently absorbed.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
 from repro.litmus.catalog import full_corpus
 from repro.litmus.generate import GeneratorConfig, random_program
@@ -34,51 +36,42 @@ def _explore_both_ways(program, cfg, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# memoization is invisible: litmus catalog and fuzzed programs
+# memoization is invisible: the ``memo`` oracle on fuzzed programs and a
+# seeded wrong memo key (the litmus catalog runs in the registry sweep,
+# tests/test_differential.py)
 # ---------------------------------------------------------------------------
 
-def test_memo_invariance_full_litmus_catalog(monkeypatch):
-    """Every catalog test explores to the same behaviors AND the same
-    state count with and without the certification memo."""
-    for test in full_corpus():
-        cfg = rm_config(test.max_promises)
-        with_memo, without_memo = _explore_both_ways(
-            test.program, cfg, monkeypatch
-        )
-        assert with_memo.behaviors == without_memo.behaviors, test.name
-        assert (
-            with_memo.states_explored == without_memo.states_explored
-        ), test.name
-        assert with_memo.complete == without_memo.complete, test.name
-
-
-def test_memo_invariance_generated_programs(monkeypatch):
+def test_memo_invariance_generated_programs():
     """~50 seeded random programs agree behavior-for-behavior and
     state-for-state with the memo on and off."""
     gen_cfg = GeneratorConfig(n_threads=2, min_ops=2, max_ops=3)
-    cfg = ModelConfig(relaxed=True)
     for seed in range(50):
         program = random_program(seed, gen_cfg)
-        with_memo, without_memo = _explore_both_ways(
-            program, cfg, monkeypatch
-        )
-        assert with_memo.behaviors == without_memo.behaviors, seed
-        assert (
-            with_memo.states_explored == without_memo.states_explored
-        ), seed
+        assert check_program(program, ("memo",)) == [], seed
 
 
 def test_memo_cross_check_mode(monkeypatch):
-    """``REPRO_CERT_MEMO_CHECK=1`` recomputes every hit from scratch and
-    raises on any disagreement — so a clean run is evidence the memo key
-    captures everything certification depends on."""
-    monkeypatch.setenv("REPRO_CERT_MEMO", "1")
-    monkeypatch.setenv("REPRO_CERT_MEMO_CHECK", "1")
-    for test in full_corpus():
-        if not test.max_promises:
-            continue
-        result = explore(test.program, rm_config(test.max_promises), por=True)
-        assert result.complete, test.name
+    """The ``memo`` oracle catches a memo key that forgets what
+    certification depends on: with the timeline dropped from the key,
+    a verdict certified against one memory is replayed against another,
+    which changes the relaxed search on the catalog's promise tests."""
+    promising = [t for t in full_corpus() if t.max_promises][:8]
+    for test in promising:
+        assert check_program(
+            test.program, ("memo",), rm=rm_config(test.max_promises)
+        ) == [], test.name
+
+    def forgetful_key(self, state, tidx):
+        return (tidx, state.threads[tidx])
+
+    monkeypatch.setattr(CertMemo, "thread_key", forgetful_key)
+    caught = [
+        test.name for test in promising
+        if check_program(
+            test.program, ("memo",), rm=rm_config(test.max_promises)
+        )
+    ]
+    assert caught, "a timeline-blind memo key survived the memo oracle"
 
 
 def test_engine_stats_reported():

@@ -113,6 +113,15 @@ EXTERNAL_FLAGS = {
 
 ENV_KNOB = re.compile(r"\bREPRO_[A-Z_]+\b")
 
+#: A knob named in prose (``REPRO_SERVE_*`` families excluded).
+DOC_KNOB = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+#: A knob the code reads: the name as a string literal.
+READ_KNOB = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
+
+#: Knobs the docs may name although only the test suite reads them.
+TEST_ONLY_KNOBS = {"REPRO_UPDATE_GOLDEN"}
+
 
 def _cli_flags():
     """Every ``--long-flag`` the real parser (or any subparser) accepts."""
@@ -184,3 +193,22 @@ class TestCliDocsConsistency:
             assert knob in documented, (
                 f"env knob {knob} is undocumented — add it to docs/API.md"
             )
+
+    def test_documented_knobs_are_the_knobs_src_reads(self):
+        """The docs name exactly the knobs ``src/`` reads: a knob whose
+        reader is deleted must leave the docs, and a new one must enter
+        them."""
+        read = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            read.update(READ_KNOB.findall(path.read_text(encoding="utf-8")))
+        documented = set()
+        for text in _doc_text().values():
+            documented.update(DOC_KNOB.findall(text))
+        documented -= TEST_ONLY_KNOBS
+        assert not documented - read, (
+            f"documented but never read under src/: "
+            f"{sorted(documented - read)}"
+        )
+        assert not read - documented, (
+            f"read under src/ but undocumented: {sorted(read - documented)}"
+        )

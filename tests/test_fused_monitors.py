@@ -1,13 +1,14 @@
 """Streaming monitors and fused wDRF verification passes.
 
 The invariants: fusion and early exit may change cost, never verdicts —
-fused reports are bit-identical to per-condition ones (the
-``REPRO_FUSE_CHECK`` contract), monitor-cut searches are cheaper but
+fused reports are bit-identical to per-condition ones (the ``fuse``
+conformance oracle), monitor-cut searches are cheaper but
 still definitive, and the pass planner collapses the standard spec to
 at most two explorations."""
 
 import pytest
 
+from repro.conformance.oracles import check_program
 from repro.ir import Reg, ThreadBuilder, build_program
 from repro.memory import ModelConfig, explore, explore_or_raise
 from repro.memory.datatypes import ExplorationMonitor
@@ -64,13 +65,12 @@ class TestFusedBitIdentity:
         ],
     )
     def test_fused_equals_per_condition(self, name, spec):
-        fused = verify_wdrf(spec, fuse=True)
-        unfused = verify_wdrf(spec, fuse=False)
-        assert fused == unfused, name
+        assert check_program(spec.program, ("fuse",), spec=spec) == [], name
 
-    def test_fuse_check_mode_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSE_CHECK", "1")
-        report = verify_wdrf(locked_counter_spec(False))
+    def test_fuse_check_mode_passes(self):
+        spec = locked_counter_spec(False)
+        assert check_program(spec.program, ("fuse",), spec=spec) == []
+        report = verify_wdrf(spec)
         assert not report.all_hold  # the broken lock is still caught
 
 

@@ -16,6 +16,7 @@ and the generator (not the budget) should be fixed.
 import pytest
 
 from repro.conformance import FuzzConfig, run_fuzz
+from repro.conformance.oracles import check_program
 from repro.memory import mutants
 
 #: (mutant, generation profiles that expose it, expected oracle, budget)
@@ -113,9 +114,9 @@ class TestTSOPortabilityKills:
 
 
 class TestTSOCrossCheck:
-    """``REPRO_TSO_CHECK=1`` re-derives SC/Arm behavior sets alongside
-    every TSO exploration of an MMU-free program and raises when the
-    sandwich SC ⊆ TSO ⊆ Arm breaks."""
+    """The ``portability`` conformance oracle re-derives the SC, TSO
+    and Arm behavior sets of a program and reports when the sandwich
+    SC ⊆ TSO ⊆ Arm breaks."""
 
     @staticmethod
     def _sb_program():
@@ -123,21 +124,16 @@ class TestTSOCrossCheck:
 
         return next(t for t in full_corpus() if t.name == "SB").program
 
-    def test_cross_check_passes_on_the_honest_engine(self, monkeypatch):
-        from repro.memory import explore_tso
+    def test_cross_check_passes_on_the_honest_engine(self):
+        assert check_program(self._sb_program(), ("portability",)) == []
 
-        monkeypatch.setenv("REPRO_TSO_CHECK", "1")
-        result = explore_tso(self._sb_program())
-        assert result.complete
-
-    def test_cross_check_raises_under_lost_flush(self, monkeypatch):
-        from repro.errors import VerificationError
-        from repro.memory import explore_tso
-
-        monkeypatch.setenv("REPRO_TSO_CHECK", "1")
+    def test_cross_check_raises_under_lost_flush(self):
         with mutants.seeded("lost-flush"):
-            with pytest.raises(VerificationError, match="SC ⊆ TSO"):
-                explore_tso(self._sb_program())
+            found = check_program(self._sb_program(), ("portability",))
+        assert any(
+            d.oracle == "portability" and "SC ⊄ TSO" in d.detail
+            for d in found
+        ), found
 
 
 class TestMutantRegistry:

@@ -161,6 +161,42 @@ class TestTraceCommand:
         assert code == 0
         assert "coherence order" in dest.read_text()
 
+    @pytest.mark.parametrize(
+        "oracle,profile,threads,witness",
+        [
+            # model-diff: a relaxed execution SC cannot reach.
+            ("containment", "plain", None, "witness: RM-only behavior"),
+            # config on a sync genome: the unprotected store panics
+            # under the push/pull ownership discipline.
+            ("shard", "sync",
+             [[["store", 0, 1]], [["pull", 0, 0], ["load", 0, 0],
+                                  ["push", 0, 0]]],
+             "push/pull ownership"),
+            # vm: the program runs under the VM feature families.
+            ("vm_neutral", "plain", None, "under VM features"),
+        ],
+        ids=["model-diff", "config", "vm"],
+    )
+    def test_trace_each_witness_kind(
+        self, capsys, tmp_path, oracle, profile, threads, witness
+    ):
+        from repro.conformance.oracles import ORACLES
+
+        entry = json.loads(WITNESS.read_text())
+        entry["oracle"] = oracle
+        if threads is not None:
+            entry["shrunk_genome"] = None
+            entry["genome"] = {
+                "n_locations": 1, "name": "kind-demo", "profile": profile,
+                "threads": threads,
+            }
+        path = tmp_path / f"counterexample-0-0-{oracle}.json"
+        path.write_text(json.dumps(entry))
+        code, out = run_cli(capsys, "trace", str(path))
+        assert code == 0
+        assert f"oracle: {oracle}" in out
+        assert witness in out, (ORACLES[oracle].witness, out)
+
     def test_trace_wdrf_buggy(self, capsys):
         code, out = run_cli(capsys, "trace", "--wdrf", "gen_vmid[no-barriers]")
         assert code == 0

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
 from repro.litmus.catalog import full_corpus
 from repro.litmus.runner import SC_CFG, rm_config, run_corpus, run_litmus
@@ -33,19 +34,23 @@ def _shard_env_seen_by_worker(_item):
 class TestPORCrossCheck:
     def test_por_equals_unreduced_on_catalog(self):
         """POR-reduced behavior sets equal the unreduced ones bit for bit
-        across the catalog — including the barrier/RMW/TLB tests, where
-        the soundness gate must force full exploration."""
+        across the catalog (the ``por`` oracle) — including the
+        barrier/RMW/TLB tests, where the soundness gate must force full
+        exploration."""
         corpus = full_corpus()
         assert len(corpus) >= 20
         gated = 0
         for test in corpus:
-            for cfg in (SC_CFG, rm_config(test.max_promises)):
-                observe = sorted(loc for loc, _ in test.memory_condition)
-                reduced = explore(test.program, cfg,
-                                  observe_locs=observe, por=True)
-                baseline = explore(test.program, cfg,
-                                   observe_locs=observe, por=False)
-                assert reduced.behaviors == baseline.behaviors, test.name
+            rm = rm_config(test.max_promises)
+            assert check_program(
+                test.program, ("por",), sc=SC_CFG, rm=rm
+            ) == [], test.name
+            for cfg in (SC_CFG, rm):
+                observe = sorted(test.program.initial_memory)
+                reduced = cached_explore(test.program, cfg,
+                                         observe_locs=observe, por=True)
+                baseline = cached_explore(test.program, cfg,
+                                          observe_locs=observe, por=False)
                 assert reduced.complete == baseline.complete, test.name
                 assert reduced.states_explored <= baseline.states_explored
             if not por_eligible(test.program, SC_CFG):
@@ -54,8 +59,7 @@ class TestPORCrossCheck:
         # tests are exactly the programs the POR gate rejects.
         assert gated >= 5
 
-    def test_check_mode_runs_both_searches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POR_CHECK", "1")
+    def test_check_mode_runs_both_searches(self):
         t0 = ThreadBuilder(0)
         t0.store(X, 1).load("r0", Y)
         t1 = ThreadBuilder(1)
@@ -64,8 +68,9 @@ class TestPORCrossCheck:
             [t0, t1], observed={0: ["r0"], 1: ["r1"]},
             initial_memory={X: 0, Y: 0},
         )
-        result = explore(program, ModelConfig(relaxed=True))
-        assert result.complete
+        assert check_program(
+            program, ("por",), rm=ModelConfig(relaxed=True)
+        ) == []
 
     def test_interning_off_is_identical(self, monkeypatch):
         t0 = ThreadBuilder(0)

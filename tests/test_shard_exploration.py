@@ -1,7 +1,9 @@
 """Frontier sharding (``repro.parallel.shard``): the shared visited
 filter's conservative-miss protocol, bit-identity with the serial
-engine across the litmus catalog and fuzzed programs, monitor-stop
-reconstruction, crash cleanup, and the plan/knob plumbing."""
+engine on litmus tests and fuzzed programs (the whole catalog runs
+through the ``shard`` oracle in tests/test_differential.py),
+monitor-stop reconstruction, crash cleanup, and the plan/knob
+plumbing."""
 
 import multiprocessing
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.conformance import PROFILES, build, derive_rng, random_genome
-from repro.errors import VerificationError
+from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
 from repro.litmus import full_corpus
 from repro.memory import ModelConfig, explore
@@ -53,7 +55,6 @@ def no_cache(monkeypatch):
     monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
     monkeypatch.setenv("REPRO_EXPLORE_MEMO", "0")
     monkeypatch.delenv("REPRO_SHARD", raising=False)
-    monkeypatch.delenv("REPRO_SHARD_CHECK", raising=False)
     monkeypatch.delenv("REPRO_SHARD_TIMEOUT", raising=False)
 
 
@@ -297,14 +298,6 @@ class TestWorkerCounterDeltas:
 
 
 class TestBitIdentity:
-    def test_full_litmus_catalog_two_shards(self):
-        for test in full_corpus():
-            for relaxed in (False, True):
-                cfg = ModelConfig(relaxed=relaxed)
-                serial, sharded, _, _ = run_both(test.program, cfg, shards=2)
-                assert_identical(serial, sharded,
-                                 f"{test.name}/{'RM' if relaxed else 'SC'}")
-
     def test_litmus_subset_four_shards(self):
         for test in full_corpus()[:10]:
             cfg = ModelConfig(relaxed=True)
@@ -449,12 +442,10 @@ class TestCrashCleanup:
 
 
 class TestShardCheck:
-    def test_cross_check_passes_on_real_runs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_CHECK", "1")
-        cfg = ModelConfig(relaxed=True)
-        with shard_env(2):
-            result = explore(wide_program(), cfg)
-        assert result.complete
+    """The ``shard`` conformance oracle: sharded vs serial."""
+
+    def test_cross_check_passes_on_real_runs(self):
+        assert check_program(wide_program(), ("shard",)) == []
 
     def test_cross_check_catches_divergence(self, monkeypatch):
         def lying_shard_explore(program, cfg, observe_locs=None, por=True,
@@ -467,11 +458,9 @@ class TestShardCheck:
             )
 
         monkeypatch.setattr(shard, "shard_explore", lying_shard_explore)
-        monkeypatch.setenv("REPRO_SHARD_CHECK", "1")
-        cfg = ModelConfig(relaxed=True)
-        with shard_env(2):
-            with pytest.raises(VerificationError, match="shard cross-check"):
-                explore(wide_program(), cfg)
+        found = check_program(wide_program(), ("shard",))
+        assert found and all(d.oracle == "shard" for d in found)
+        assert "serial-only" in found[0].detail
 
 
 class TestTraceEvents:

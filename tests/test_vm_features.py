@@ -8,8 +8,9 @@ Three properties anchor the feature gates:
    a same-process re-run.
 2. **Flag-on neutrality** — enabling every feature must not change the
    behavior set of a program that never touches the MMU (the
-   ``REPRO_VM_CHECK=1`` cross-check enforces this inside ``explore``
-   itself; here we both rely on it and assert digest equality).
+   ``vm_neutral`` conformance oracle, run over the whole catalog in
+   tests/test_differential.py; here we also assert digest equality
+   through the environment knob).
 3. **Mutant sensitivity** — each seeded VM-feature bug class is killed
    by the ``vm`` conformance profile within a small fixed-seed budget,
    with the witness shrunk to at most 8 operations.
@@ -26,6 +27,7 @@ import pytest
 
 from repro.conformance import FuzzConfig, run_fuzz
 from repro.conformance.digests import behavior_digest
+from repro.conformance.oracles import check_program
 from repro.litmus.catalog import full_corpus
 from repro.litmus.runner import litmus_configs
 from repro.memory import explore, mutants
@@ -88,16 +90,15 @@ class TestFlagOnNeutrality:
         return _tests_by_name()["MP"]
 
     def test_all_features_are_noop_on_mmu_free_programs(self, monkeypatch):
-        """REPRO_VM_FEATURES=all + REPRO_VM_CHECK=1: the in-engine
-        cross-check runs (raising on any divergence) and the behavior
-        set equals the flag-off one."""
+        """The ``vm_neutral`` oracle agrees, and REPRO_VM_FEATURES=all
+        leaves the behavior set equal to the flag-off one."""
         test = self._feature_free_test()
+        assert check_program(test.program, ("vm_neutral",)) == []
         observe = sorted(test.program.initial_memory)
         baseline = explore(
             test.program, ModelConfig(relaxed=True), observe_locs=observe
         )
         monkeypatch.setenv("REPRO_VM_FEATURES", "all")
-        monkeypatch.setenv("REPRO_VM_CHECK", "1")
         featured = explore(
             test.program, ModelConfig(relaxed=True), observe_locs=observe
         )
