@@ -126,7 +126,8 @@ class FuzzReport:
             lines.append(
                 "all oracles agreed: containment, portability, "
                 "equivalence, axiomatic agreement, engine-config "
-                "identity, monitor truth, vm discipline"
+                "identity, reduction soundness, monitor truth, "
+                "vm discipline"
             )
         return "\n".join(lines)
 

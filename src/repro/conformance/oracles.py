@@ -32,6 +32,12 @@ bug, never on an expected relaxed-memory effect:
     reduction on/off, certification memoization on/off (which must
     also explore the same number of states), and process-pool vs.
     serial evaluation must each produce bit-identical behavior sets.
+``reduction``
+    The explorer's state-space reductions — live-field projection of
+    the visited key, doomed-state pruning, partial-order reduction and
+    the certification memo — keep the relaxed behavior set: a minimal
+    reference DFS over the bare step relation (exact state keys, every
+    thread scheduled, no memo) must reach exactly the same behaviors.
 ``shard``
     A frontier-sharded exploration (:mod:`repro.parallel.shard`, two
     workers) reproduces the serial one: behaviors, ``complete``,
@@ -105,14 +111,26 @@ from repro.ir.program import Program
 from repro.memory.axiomatic import axiomatic_outcomes, eligible
 from repro.memory.cache import cached_explore
 from repro.memory.datatypes import ExplorationResult
-from repro.memory.exploration import _explore, explore, por_default_enabled
+from repro.memory.exploration import (
+    _explore,
+    behavior_of,
+    explore,
+    por_default_enabled,
+)
 from repro.memory.semantics import (
     PROMISING_ARM,
     PTE_DIRTY,
     SC,
     VM_FEATURES,
     ModelConfig,
+    ProgramCache,
+    execute_instruction,
+    promise_steps,
+    resolve_model,
+    resolve_vm_features,
+    tso_flush_steps,
 )
+from repro.memory.state import initial_state
 from repro.smt.backend import bmc_explore, bmc_supported
 from repro.smt.encode import Unsupported
 from repro.parallel import parallel_map
@@ -159,7 +177,7 @@ VM = "vm"
 #: TSO-specific mutants fall through to it.
 _PROFILE_ORACLES = {
     "plain": ("containment", "axiomatic", "backend", "por", "memo",
-              "portability"),
+              "reduction", "portability"),
     "fenced": ("containment", "equivalence", "backend", "por", "memo",
                "portability"),
     "mmu": ("containment", "por", "memo", "portability"),
@@ -577,6 +595,71 @@ def _check_jobs(subject: Subject) -> List[Disagreement]:
     return []
 
 
+def _reference_explore(
+    program: Program, cfg: ModelConfig, observe: Sequence[int]
+) -> ExplorationResult:
+    """The bare step relation driven to a fixpoint, for ``reduction``.
+
+    Exact states key the visited set; every thread's instruction,
+    promise and store-buffer steps are generated at every state, with
+    no certification memo.  ``complete`` is False past the state or
+    memory budget.
+    """
+    cfg = resolve_model(resolve_vm_features(cfg))
+    cache = ProgramCache(program)
+    start = initial_state(len(program.threads), cfg.initial_ownership)
+    seen = {start}
+    stack = [start]
+    behaviors = set()
+    complete = True
+    while stack:
+        if len(seen) > cfg.max_states:
+            complete = False
+            break
+        state = stack.pop()
+        threads = state.threads
+        if state.panic is not None or all(
+            t.halted and not t.wbuf for t in threads
+        ):
+            if state.panic is not None or not any(t.promises for t in threads):
+                behaviors.add(behavior_of(cache, state, observe))
+            continue
+        for tidx in range(len(threads)):
+            for succ in (
+                tso_flush_steps(cache, state, tidx, cfg)
+                + execute_instruction(cache, state, tidx, cfg)
+                + promise_steps(cache, state, tidx, cfg)
+            ):
+                if len(succ.memory) > cfg.max_memory:
+                    complete = False
+                elif succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+    return ExplorationResult(
+        behaviors=frozenset(behaviors), complete=complete,
+        states_explored=len(seen), cut_paths=0,
+    )
+
+
+def _check_reduction(subject: Subject) -> List[Disagreement]:
+    reduced = cached_explore(subject.program, subject.rm,
+                             observe_locs=subject.observe)
+    if not reduced.complete:
+        return []
+    reference = _reference_explore(subject.program, subject.rm,
+                                   subject.observe)
+    if not reference.complete:
+        return []
+    diff = _behaviors_diff("explorer", reduced, "reference", reference)
+    if not diff:
+        return []
+    return [Disagreement(
+        oracle="reduction",
+        detail=f"the explorer's reductions changed the RM behavior set: "
+        f"{diff}",
+    )]
+
+
 def _check_shard(subject: Subject) -> List[Disagreement]:
     """Two-way frontier sharding against the serial engine.
 
@@ -710,6 +793,7 @@ ORACLES: Dict[str, Oracle] = {
     "vm": Oracle(_check_vm, VM),
     "por": Oracle(_check_por, CONFIG),
     "memo": Oracle(_check_memo, CONFIG),
+    "reduction": Oracle(_check_reduction, CONFIG),
     "portability": Oracle(_check_portability, MODEL_DIFF),
     "vm_neutral": Oracle(_check_vm_neutral, VM),
     "shard": Oracle(_check_shard, CONFIG),

@@ -188,7 +188,11 @@ class EngineStats:
       of a budget-cut verdict count again, keeping the counter invariant
       under memoization.
     * ``successors_generated`` — total successor states produced by the
-      step relation (before deduplication).
+      step relation (before deduplication), doomed ones excluded.
+    * ``doomed_pruned`` — successors the relaxed explorer dropped because
+      a thread holds a promise no reachable store can fulfil and no
+      ``Panic`` is reachable (see :func:`repro.memory.exploration.
+      _drop_doomed`); such states could never reach a valid terminal.
     * ``por_ample_hits`` — states expanded through a single ample thread
       instead of the full scheduler fan-out.
     * ``interner_timelines`` — distinct message timelines hash-consed by
@@ -211,6 +215,7 @@ class EngineStats:
     candidate_memo_hits: int = 0
     cert_budget_hits: int = 0
     successors_generated: int = 0
+    doomed_pruned: int = 0
     por_ample_hits: int = 0
     interner_timelines: int = 0
     por_gate_skips: int = 0

@@ -155,8 +155,55 @@ def _successors(
             successors.extend(execute_instruction(cache, state, tidx, cfg))
             if relaxed:
                 successors.extend(promise_steps(cache, state, tidx, cfg, memo))
+    if cfg.relaxed and not cfg.pushpull and successors:
+        successors = _drop_doomed(cache.doomed_tables(), successors, stats)
     stats.successors_generated += len(successors)
     return successors
+
+
+def _drop_doomed(
+    tables: Tuple, successors: List[ExecState], stats: EngineStats
+) -> List[ExecState]:
+    """Drop the successors that can never reach a valid terminal state.
+
+    A successor is *doomed* when some thread holds promises at a pc from
+    which no fulfilling store is reachable
+    (:meth:`~repro.memory.semantics.ProgramCache.fulfillable_from`) and
+    no non-halted thread can still reach a ``Panic``.  Sound because
+    only :func:`~repro.memory.semantics._exec_store`'s fulfil branch
+    removes a promise, so such a thread keeps its promises in every
+    descendant, and a normal terminal state with promises is invalid;
+    only a panic could make the subtree observable.  Outside push/pull
+    every panic comes from a ``Panic`` instruction: every other
+    ``_panic_state`` call site is a push/pull ownership check
+    (``_ownership_check``, ``_exec_pull``, ``_exec_push``), hence the
+    ``not pushpull`` gate at the caller.  Doomedness reads only each
+    thread's ``pc``, ``halted`` and ``promises``, which the live-field
+    projection keeps, so a dropped state never shares a visited key with
+    a live one and the DFS meets the live states in the same order.
+    The check is two table lookups per promise-holding thread.
+    """
+    holders, stuck, panicky = tables
+    if not holders:
+        return successors
+    kept: List[ExecState] = []
+    for succ in successors:
+        threads = succ.threads
+        for tidx in holders:
+            ctx = threads[tidx]
+            if ctx.promises and (ctx.halted or stuck[tidx][ctx.pc]):
+                break
+        else:
+            kept.append(succ)
+            continue
+        if panicky is not None and any(
+            not ctx.halted and panicky[tidx][ctx.pc]
+            for tidx, ctx in enumerate(threads)
+        ):
+            kept.append(succ)
+            continue
+        stats.doomed_pruned += 1
+    return kept
 
 
 def _is_valid_terminal(state: ExecState) -> bool:

@@ -57,6 +57,13 @@ mutant is active:
   the thread's own store buffer, so a TSO thread can read a value *older
   than its own latest store* — a behavior no Arm coherence order admits.
   Killed by the ``portability`` oracle's TSO ⊆ Arm containment check.
+* ``doomed-skips-current-store`` —
+  :meth:`repro.memory.semantics.ProgramCache.doomed_tables` asks for a
+  fulfilling store reachable from ``pc + 1`` instead of ``pc``, so a
+  thread about to fulfil its promise with its last store looks doomed
+  and the explorer drops the state: load-buffering behaviors vanish.
+  Killed by the ``reduction`` oracle, whose reference DFS prunes
+  nothing.
 
 Active mutants are part of every exploration cache key (see
 :func:`repro.memory.cache.exploration_key`), so a mutated engine can
@@ -80,6 +87,7 @@ KNOWN_MUTANTS: Tuple[str, ...] = (
     "lost-dirty-bit",
     "lost-flush",
     "read-skips-own-buffer",
+    "doomed-skips-current-store",
 )
 
 _active: Set[str] = set()

@@ -27,7 +27,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ExecutionError, ProgramError
 from repro.ir.expr import Expr
@@ -265,12 +274,12 @@ class ProgramCache:
         self.threads: Tuple[Thread, ...] = program.threads
         self.labels: List[Dict[str, int]] = [t.labels() for t in program.threads]
         self.initial_memory = dict(program.initial_memory)
-        self._promisable: List[Optional[List[bool]]] = [None] * len(
-            program.threads
-        )
-        self._succs: List[Optional[List[Tuple[int, ...]]]] = [None] * len(
-            program.threads
-        )
+        n = len(program.threads)
+        self._promisable: List[Optional[List[bool]]] = [None] * n
+        self._fulfillable: List[Optional[List[bool]]] = [None] * n
+        self._panicky: List[Optional[List[bool]]] = [None] * n
+        self._succs: List[Optional[List[Tuple[int, ...]]]] = [None] * n
+        self._doomed: Optional[Tuple] = None
 
     def init_value(self, loc: int) -> int:
         return self.initial_memory.get(loc, 0)
@@ -296,15 +305,84 @@ class ProgramCache:
         stream (branch targets are labels, hence static).  When False,
         the promise-candidate lookahead is provably empty — only plain
         ``Store`` instructions ever contribute candidates — so
-        :func:`promise_steps` skips the whole nested search, and both
-        nested searches stop expanding such states: no candidate lies
-        below them, and only a plain store fulfils a promise.
+        :func:`promise_steps` skips the whole nested search, and the
+        candidate lookahead stops expanding such states: no candidate
+        lies below them.
         """
         reach = self._promisable[tidx]
         if reach is None:
-            reach = self._compute_promisable(tidx)
-            self._promisable[tidx] = reach
+            reach = self._promisable[tidx] = self._reachable(
+                tidx, _is_plain_store
+            )
         return 0 <= pc < len(reach) and reach[pc]
+
+    def fulfillable_from(self, tidx: int, pc: int) -> bool:
+        """Can any instruction that may fulfil a promise still execute
+        from *pc*?
+
+        Only :func:`_exec_store`'s fulfil branch removes a promise, and
+        it is entered by a plain ``Store`` and by a ``VStore`` (whose
+        translated write is a plain store).  When False, a thread
+        holding promises at *pc* can never shed them: the certification
+        search stops there, and the explorer treats such a thread as
+        doomed.
+        """
+        reach = self._fulfillable[tidx]
+        if reach is None:
+            reach = self._fulfillable[tidx] = self._reachable(
+                tidx, _may_fulfil
+            )
+        return 0 <= pc < len(reach) and reach[pc]
+
+    def panic_reachable_from(self, tidx: int, pc: int) -> bool:
+        """Can a ``Panic`` instruction still execute from *pc*?"""
+        reach = self._panicky[tidx]
+        if reach is None:
+            reach = self._panicky[tidx] = self._reachable(
+                tidx, lambda instr: isinstance(instr, Panic)
+            )
+        return 0 <= pc < len(reach) and reach[pc]
+
+    def doomed_tables(self) -> Tuple:
+        """Lookup tables for the explorer's doomed-state filter.
+
+        ``(holders, stuck, panicky)``, built once per exploration:
+        ``holders`` are the threads that can reach a plain store, the
+        only ones that can ever hold a promise; ``stuck[tidx][pc]`` says no
+        fulfilling instruction is reachable from *pc*
+        (:meth:`fulfillable_from`; the halted pc, the thread length, is
+        stuck); ``panicky[tidx][pc]`` says a ``Panic`` is, and is None
+        when no thread can reach one.
+        """
+        if self._doomed is None:
+            n_threads = len(self.threads)
+            # Seeded bug: ask one pc too far, so a promise whose last
+            # fulfilling store is the current instruction looks doomed.
+            skip = 1 if mutants.enabled("doomed-skips-current-store") else 0
+            stuck = tuple(
+                tuple(
+                    not self.fulfillable_from(tidx, pc + skip)
+                    for pc in range(self.thread_len(tidx) + 1)
+                )
+                for tidx in range(n_threads)
+            )
+            holders = tuple(
+                tidx for tidx in range(n_threads)
+                if self.promisable_from(tidx, 0)
+            )
+            panicky = None
+            if any(
+                self.panic_reachable_from(tidx, 0) for tidx in range(n_threads)
+            ):
+                panicky = tuple(
+                    tuple(
+                        self.panic_reachable_from(tidx, pc)
+                        for pc in range(self.thread_len(tidx) + 1)
+                    )
+                    for tidx in range(n_threads)
+                )
+            self._doomed = (holders, stuck, panicky)
+        return self._doomed
 
     def control_successors(self, tidx: int) -> List[Tuple[int, ...]]:
         """Static control-flow successors of every pc of thread *tidx*.
@@ -331,13 +409,19 @@ class ProgramCache:
             self._succs[tidx] = succs
         return succs
 
-    def _compute_promisable(self, tidx: int) -> List[bool]:
+    def _reachable(
+        self, tidx: int, pred: Callable[[Instruction], bool]
+    ) -> List[bool]:
+        """Per pc of thread *tidx*: can an instruction satisfying *pred*
+        still execute from there (that pc included)?
+
+        The one backward-reachability fixpoint over
+        :meth:`control_successors`; falling off the end reaches nothing.
+        """
         instrs = self.threads[tidx].instrs
         n = len(instrs)
         succs = self.control_successors(tidx)
-        reach = [
-            isinstance(instr, Store) and not instr.release for instr in instrs
-        ]
+        reach = [bool(pred(instr)) for instr in instrs]
         changed = True
         while changed:
             changed = False
@@ -348,6 +432,14 @@ class ProgramCache:
                     reach[pc] = True
                     changed = True
         return reach
+
+
+def _is_plain_store(instr: Instruction) -> bool:
+    return isinstance(instr, Store) and not instr.release
+
+
+def _may_fulfil(instr: Instruction) -> bool:
+    return _is_plain_store(instr) or isinstance(instr, VStore)
 
 
 # ---------------------------------------------------------------------------
@@ -1532,9 +1624,9 @@ def _certify_search(
         if (
             ctx.halted
             or st.panic is not None
-            # Only a plain store fulfils a promise: with none reachable,
-            # no path from here certifies.
-            or not cache.promisable_from(tidx, ctx.pc)
+            # Only a plain store or a VStore fulfils a promise: with
+            # none reachable, no path from here certifies.
+            or not cache.fulfillable_from(tidx, ctx.pc)
         ):
             continue
         for succ in execute_instruction(cache, st, tidx, local_cfg):

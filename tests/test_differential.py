@@ -2,7 +2,8 @@
 
 :data:`repro.conformance.oracles.ORACLES` is the repository's one
 differential-check mechanism: every optimization (partial-order
-reduction, the certification memo, pass fusion, the SAT/BMC backend,
+reduction, the certification memo, live-field projection and
+doomed-state pruning, pass fusion, the SAT/BMC backend,
 frontier sharding, the process pool, the VM feature gates) is compared
 with its reference path there.  The fuzzer runs the entries on random
 genomes; this sweep runs every applicable entry on the litmus catalog
@@ -27,8 +28,8 @@ from repro.sekvm.ir_programs import kcore_buggy_cases, kcore_verified_cases
 #: Oracles relating the whole program to a reference path, run on every
 #: litmus test under the test's own SC and relaxed configurations.
 LITMUS_ORACLES = (
-    "containment", "axiomatic", "backend", "por", "memo", "portability",
-    "vm_neutral", "shard",
+    "containment", "axiomatic", "backend", "por", "memo", "reduction",
+    "portability", "vm_neutral", "shard",
 )
 
 #: Oracles that read a wDRF spec, run on every SeKVM KCore case.
@@ -36,8 +37,8 @@ SPEC_ORACLES = ("backend", "monitor", "fuse", "shard")
 
 #: Every optimization with a reference path has exactly one entry.
 OPTIMIZATION_ORACLES = (
-    "por", "memo", "fuse", "backend", "shard", "jobs", "vm_neutral",
-    "portability",
+    "por", "memo", "reduction", "fuse", "backend", "shard", "jobs",
+    "vm_neutral", "portability",
 )
 
 

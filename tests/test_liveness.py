@@ -1,4 +1,5 @@
-"""Live-field projection of Arm states, and store-reachability pruning.
+"""Live-field projection of Arm states, store-reachability pruning and
+doomed-state pruning.
 
 The projection (:mod:`repro.memory.liveness`) changes which states the
 outer DFS treats as duplicates, never the states it expands, so the
@@ -8,11 +9,14 @@ contract under test is:
 * configurations and threads it is not sound for get the identity,
 * states differing only in dead fields share one key, states differing
   in a live field do not,
-* an unsound table is caught by the pinned litmus digests — the
-  projection's differential check, with no reference path in the
-  source,
-* the nested certification searches stop at states from which no plain
-  store is reachable.
+* an unsound table is caught both by the pinned litmus digests and by
+  the ``reduction`` conformance oracle, whose reference search keys
+  states exactly,
+* the nested certification searches stop at states from which no
+  fulfilling store is reachable,
+* the outer DFS drops doomed successors (a promise no reachable store
+  can fulfil, no reachable panic) and nothing else: not under push/pull,
+  not while a panic is reachable, not while a ``VStore`` can fulfil.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import os
 import pytest
 
 from repro.conformance import behavior_digest
+from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
 from repro.ir.expr import Reg
+from repro.ir.program import MMUConfig
 from repro.litmus.catalog import full_corpus
 from repro.litmus.runner import litmus_configs
 from repro.memory import liveness, semantics
@@ -375,15 +381,17 @@ class TestMerging:
         assert key(a) == key(b) == a
 
     def test_promise_heavy_shrinks_with_identical_behaviors(self):
-        """140,945 exact states become 67,716 projected ones, and the SAT
-        backend — an independent decision procedure — still agrees on
-        every behavior."""
+        """140,945 exact states become 67,716 projected ones, and 5,530
+        once doomed successors are dropped; the SAT backend — an
+        independent decision procedure — still agrees on every
+        behavior."""
         program = promise_heavy_program()
         cfg = ModelConfig(relaxed=True, max_promises_per_thread=3)
         result = explore(program, cfg, por=True)
         assert result.complete
-        assert result.states_explored == 67_716
-        assert result.stats.successors_generated == 120_903
+        assert result.states_explored == 5_530
+        assert result.stats.successors_generated == 10_133
+        assert result.stats.doomed_pruned == 3_765
         solved = bmc_behaviors(program, cfg, cache=False)
         assert {(b.registers, b.memory) for b in result.behaviors} == {
             (b.registers, b.memory) for b in solved
@@ -394,6 +402,28 @@ class TestMerging:
 # the differential check: an unsound table is caught by the pinned digests
 # ---------------------------------------------------------------------------
 
+#: Catalog programs the unsound table below is tried on, and the ones
+#: whose behavior set it changes.
+_UNSOUND_TRIED = ["MP", "SB", "LB+one-data", "WRC", "S+data"]
+_UNSOUND_CAUGHT = ["LB+one-data", "WRC", "S+data"]
+
+
+def _forget_live_registers(monkeypatch):
+    """Install a table that keeps only the observed registers' values
+    and drops every view, and project every thread, determined ones
+    included."""
+    real_table = liveness.live_table
+
+    def unsound(cache, tidx):
+        return [
+            live._replace(regs=live.regs - live.rv, rv=frozenset())
+            for live in real_table(cache, tidx)
+        ]
+
+    monkeypatch.setattr(liveness, "live_table", unsound)
+    monkeypatch.setattr(liveness, "determined_threads", lambda c: frozenset())
+
+
 def test_unsound_table_is_caught_by_litmus_digests(monkeypatch):
     """A table that forgets live registers merges states whose futures
     differ; the committed digests (computed by the exact engine) must
@@ -403,23 +433,13 @@ def test_unsound_table_is_caught_by_litmus_digests(monkeypatch):
     A table that forgets only views or coherence entries is unsound too,
     but no catalog program exposes it: in every merge it causes there,
     the member the DFS keeps still reaches every behavior of the rest."""
-    real_table = liveness.live_table
-
-    def unsound(cache, tidx):
-        # Keep only the observed registers' values, drop every view.
-        return [
-            live._replace(regs=live.regs - live.rv, rv=frozenset())
-            for live in real_table(cache, tidx)
-        ]
-
     with open(_DIGESTS, "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     tests = {t.name: t for t in full_corpus()}
-    names = ["MP", "SB", "LB+one-data", "WRC", "S+data"]
 
     def drifted():
         out = []
-        for name in names:
+        for name in _UNSOUND_TRIED:
             test = tests[name]
             _, rm_cfg = litmus_configs(test)
             observe = sorted(test.program.initial_memory)
@@ -429,10 +449,29 @@ def test_unsound_table_is_caught_by_litmus_digests(monkeypatch):
         return out
 
     assert drifted() == []
-    monkeypatch.setattr(liveness, "live_table", unsound)
-    # Project every thread, determined ones included.
-    monkeypatch.setattr(liveness, "determined_threads", lambda c: frozenset())
-    assert drifted() == ["LB+one-data", "WRC", "S+data"]
+    _forget_live_registers(monkeypatch)
+    assert drifted() == _UNSOUND_CAUGHT
+
+
+def test_unsound_table_is_caught_by_the_reduction_oracle(monkeypatch):
+    """The ``reduction`` oracle sees the same broken table with no
+    pinned corpus: its reference search keys states exactly."""
+    monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
+    monkeypatch.setenv("REPRO_EXPLORE_MEMO", "0")
+    tests = {t.name: t for t in full_corpus()}
+
+    def caught():
+        return [
+            name for name in _UNSOUND_TRIED
+            if check_program(
+                tests[name].program, ("reduction",),
+                rm=litmus_configs(tests[name])[1],
+            )
+        ]
+
+    assert caught() == []
+    _forget_live_registers(monkeypatch)
+    assert caught() == _UNSOUND_CAUGHT
 
 
 # ---------------------------------------------------------------------------
@@ -505,3 +544,90 @@ class TestPruning:
             ProgramCache(program), initial_state(1), 0, PROMISING_ARM, None
         )
         assert candidates == {(X, 1)}
+
+
+# ---------------------------------------------------------------------------
+# doomed-state pruning of the outer DFS
+# ---------------------------------------------------------------------------
+
+def _panic_after_promise_program():
+    """Thread 0 stores the value it read from Z; thread 1 writes Z and
+    panics on a non-zero X.  Thread 0 may promise X=1, read the stale
+    Z=0 and store X=0 fresh: it then holds a promise no store it can
+    still reach fulfils, while thread 1 can still read the promise and
+    panic."""
+    t0 = ThreadBuilder(0).load("r", Z).store(X, Reg("r")).load("a", Y)
+    t1 = ThreadBuilder(1).store(Z, 1).load("b", X)
+    t1.bz(Reg("b"), "skip").panic("saw a promise").label("skip")
+    return build_program(
+        [t0, t1], observed={0: ["r"], 1: ["b"]},
+        initial_memory={X: 0, Y: 0, Z: 0},
+    )
+
+
+def _only_via_doomed(result):
+    """The panic behavior reachable only through a doomed state: X=1
+    was read from the promise, yet the last write to X stored 0."""
+    return [
+        b for b in result.behaviors
+        if b.panic is not None and dict(b.memory)[X] == 0
+        and (1, "b", 1) in b.registers
+    ]
+
+
+class TestDoomedPruning:
+    def test_a_reachable_panic_keeps_the_doomed_state(self):
+        program = _panic_after_promise_program()
+        result = explore(program, PROMISING_ARM)
+        assert _only_via_doomed(result)
+        # States past thread 1's panic branch are still dropped.
+        assert result.stats.doomed_pruned > 0
+        assert check_program(program, ("reduction",)) == []
+
+    def test_without_the_panic_gate_the_behavior_is_lost(self, monkeypatch):
+        real = ProgramCache.doomed_tables
+
+        def ungated(cache):
+            holders, stuck, _panicky = real(cache)
+            return holders, stuck, None
+
+        monkeypatch.setattr(ProgramCache, "doomed_tables", ungated)
+        result = explore(_panic_after_promise_program(), PROMISING_ARM)
+        assert _only_via_doomed(result) == []
+
+    def test_push_pull_prunes_nothing(self):
+        # Store buffering: a thread that promised its store and then
+        # stored the value fresh is doomed at its final load.
+        t0 = ThreadBuilder(0).store(X, 1).load("a", Y)
+        t1 = ThreadBuilder(1).store(Y, 1).load("b", X)
+        program = build_program(
+            [t0, t1], observed={0: ["a"], 1: ["b"]},
+            initial_memory={X: 0, Y: 0},
+        )
+        assert explore(program, PROMISING_ARM).stats.doomed_pruned > 0
+        result = explore(program, PUSH_PULL_PROMISING)
+        assert result.stats.doomed_pruned == 0
+
+    def test_a_vstore_fulfils_a_promise(self):
+        """Thread 0 promises Y=2 (its plain store), then branches past
+        that store and fulfils the promise through a VStore translating
+        to Y.  Treating the VStore as unable to fulfil would doom the
+        state and lose r=1, s=2, a=2."""
+        root = 0x100
+        t0 = ThreadBuilder(0, is_kernel=False)
+        t0.load("r", Z).load("s", X).bnz(Reg("r"), "virtual")
+        t0.store(Y, 2).label("virtual").vstore(1, 2)
+        t1 = ThreadBuilder(1).load("a", Y).store(X, Reg("a"))
+        t2 = ThreadBuilder(2).store(Z, 1)
+        program = build_program(
+            [t0, t1, t2], observed={0: ["r", "s"], 1: ["a"]},
+            initial_memory={X: 0, Y: 0, Z: 0, root + 1: Y},
+            mmu=MMUConfig(root=root, levels=1),
+        )
+        cache = ProgramCache(program)
+        assert not cache.promisable_from(0, 4)
+        assert cache.fulfillable_from(0, 4)
+        result = explore(program, PROMISING_ARM, observe_locs=[X, Y, Z])
+        wanted = {(0, "r", 1), (0, "s", 2), (1, "a", 2)}
+        assert any(wanted <= set(b.registers) for b in result.behaviors)
+        assert check_program(program, ("reduction",)) == []

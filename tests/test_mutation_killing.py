@@ -28,6 +28,7 @@ MUTANT_MATRIX = [
     ("bmc-off-by-one-bound", ("plain",), "backend", 40),
     ("lost-flush", ("plain",), "portability", 40),
     ("read-skips-own-buffer", ("plain",), "portability", 40),
+    ("doomed-skips-current-store", ("plain",), "reduction", 60),
 ]
 
 
