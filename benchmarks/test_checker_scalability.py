@@ -9,17 +9,11 @@ reason the paper verifies most code on SC and pays the relaxed-model
 price only for the conditions.
 """
 
-import pathlib
 import time
 
 from conftest import run_once
 
 from repro.memory import explore, pushpull_config
-from repro.parallel.bench import (
-    bench_exploration,
-    format_bench,
-    write_bench_json,
-)
 from repro.sekvm.ir_programs import NEXT_VMID_LOC, gen_vmid_program
 
 
@@ -63,39 +57,3 @@ def test_checker_scalability(benchmark):
     print(f"RM/SC state-space ratio at 2 CPUs: {rm_ratio:.0f}x "
           f"(why VRM verifies most code on the SC model)")
     assert rm_ratio > 2
-
-def test_exploration_engine_bench(benchmark):
-    """Track the exploration engine's perf trajectory across PRs.
-
-    Measures the litmus corpus and ``verify_sekvm`` serial vs. parallel
-    and the POR+interning effect against the unreduced/uninterned
-    baseline, then persists the numbers to ``BENCH_exploration.json``
-    at the repo root for CI to diff.
-    """
-    results = run_once(benchmark, bench_exploration, jobs=4)
-    print()
-    print(format_bench(results))
-    out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_exploration.json"
-    write_bench_json(str(out), results)
-
-    corpus = results["litmus_corpus"]
-    assert corpus["serial"]["all_passed"]
-    assert corpus["parallel"]["all_passed"]
-    # The optimized engine must find exactly the baseline's behaviors
-    # and never explore more states than it.
-    ph = results["promise_heavy"]
-    assert ph["optimized"]["behaviors"] == ph["baseline"]["behaviors"]
-    assert ph["optimized"]["complete"] and ph["baseline"]["complete"]
-    assert ph["optimized"]["states"] <= ph["baseline"]["states"]
-    # Frontier sharding is bit-identical to the serial optimized run.
-    assert ph["sharded"]["behaviors"] == ph["optimized"]["behaviors"]
-    assert ph["sharded"]["states"] == ph["optimized"]["states"]
-    assert ph["sharded"]["complete"]
-    # Fused wDRF passes must reach identical verdicts in fewer
-    # explorations and fewer states than per-condition passes.
-    wdrf = results["wdrf"]
-    assert wdrf["fused"]["as_expected"] and wdrf["unfused"]["as_expected"]
-    assert wdrf["fused"]["explorations"] < wdrf["unfused"]["explorations"]
-    assert wdrf["fused"]["states"] <= wdrf["unfused"]["states"]
-    assert results["verify_sekvm"]["serial"]["all_verified"]
-    assert results["verify_sekvm"]["parallel"]["all_verified"]

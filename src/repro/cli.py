@@ -196,27 +196,6 @@ def _cmd_verify_sekvm(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.parallel import resolve_jobs
-    from repro.parallel.bench import (
-        bench_exploration,
-        format_bench,
-        write_bench_json,
-    )
-
-    _apply_cache_flag(args)
-    results = bench_exploration(
-        jobs=resolve_jobs(args.jobs),
-        shard_jobs=getattr(args, "shard_jobs", None),
-        only=getattr(args, "only", None),
-    )
-    print(format_bench(results))
-    if args.output:
-        write_bench_json(args.output, results)
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_verify_locks(args: argparse.Namespace) -> int:
     from repro.sync import verify_all
 
@@ -587,20 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_flags(p)
     _add_obs_flags(p)
     p.set_defaults(fn=_cmd_verify_sekvm)
-
-    p = sub.add_parser(
-        "bench", help="benchmark the exploration engine (POR/cache/parallel)"
-    )
-    p.add_argument("--output", "-o", metavar="FILE",
-                   help="also write the results as JSON (BENCH_exploration)")
-    p.add_argument("--only", metavar="SECTION", default=None,
-                   choices=("litmus_corpus", "promise_heavy", "wdrf",
-                            "verify_sekvm", "bmc", "serve", "vm",
-                            "portability"),
-                   help="measure a single section (the CI smoke path)")
-    _add_parallel_flags(p)
-    _add_obs_flags(p)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("verify-locks", help="verify synchronization primitives")
     p.add_argument("--cpus", type=int, default=2)

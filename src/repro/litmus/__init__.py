@@ -15,6 +15,7 @@ from repro.litmus.catalog import (
     extended_corpus,
     full_corpus,
     paper_examples,
+    promise_heavy_program,
 )
 from repro.litmus.generate import (
     GeneratorConfig,
@@ -43,6 +44,7 @@ __all__ = [
     "extended_corpus",
     "full_corpus",
     "paper_examples",
+    "promise_heavy_program",
     "GeneratorConfig",
     "random_corpus",
     "random_program",

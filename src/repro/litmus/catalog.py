@@ -315,6 +315,23 @@ def example2_gen_vmid(correct: bool, n_cpus: int = 2, max_vm: int = 16) -> Progr
     )
 
 
+def promise_heavy_program() -> Program:
+    """A workload dominated by promise certification: one thread issues
+    three promisable stores, the other reads them all.  Explored with
+    ``max_promises_per_thread=3``; not part of :func:`full_corpus`."""
+    x, y, z, w = 0x10, 0x20, 0x30, 0x40
+    t0 = ThreadBuilder(0)
+    t0.store(x, 1).store(y, 1).store(z, 1).load("r0", w)
+    t1 = ThreadBuilder(1)
+    t1.store(w, 1).load("a", x).load("b", y).load("c", z)
+    return build_program(
+        [t0, t1],
+        observed={0: ["r0"], 1: ["a", "b", "c"]},
+        initial_memory={x: 0, y: 0, z: 0, w: 0},
+        name="promise_heavy",
+    )
+
+
 def example2(correct: bool) -> LitmusTest:
     return LitmusTest(
         name=f"Example2-gen_vmid[{'fixed' if correct else 'buggy'}]",

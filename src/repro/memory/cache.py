@@ -38,7 +38,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ir.program import Program
 from repro.memory import mutants
@@ -289,20 +289,21 @@ def monitored_exploration_key(
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _disk_load(key: str, expect: type = ExplorationResult):
-    """Load one disk entry, treating anything unreadable as a miss.
+def disk_read(path: str, loads: Callable[[bytes], object], expect: type):
+    """Load one disk entry with *loads*, treating anything unreadable as
+    a miss.
 
-    An entry that fails to unpickle (or holds an unexpected type) is
+    An entry that fails to deserialize (or holds an unexpected type) is
     *deleted*, not just skipped: before writes were atomic a killed
-    worker could leave a truncated pickle behind, and without the
-    delete that one corpse would poison every future load of its key
-    while :func:`_disk_store`'s write-once discipline keeps the good
-    entry from ever being rewritten over it.
+    worker could leave a truncated file behind, and without the delete
+    that one corpse would poison every future load of its key while
+    :func:`disk_write`'s write-once discipline keeps the good entry from
+    ever being rewritten over it.  Shared by the engine's pickles and
+    the serve layer's JSON result documents.
     """
-    path = os.path.join(cache_dir(), key + ".pkl")
     try:
         with open(path, "rb") as fh:
-            result = pickle.load(fh)
+            result = loads(fh.read())
     except FileNotFoundError:
         return None
     except (OSError, pickle.PickleError, EOFError, AttributeError,
@@ -323,31 +324,49 @@ def _discard(path: str) -> None:
         pass
 
 
-def _disk_store(key: str, result) -> None:
+def disk_write(path: str, obj, dumps: Callable[[object], bytes]) -> None:
     """Atomically publish one disk entry (crash- and multi-process-safe).
 
-    The pickle is written to a private temp file in the cache directory
-    and ``os.replace``\\ d into place, so a concurrent reader observes
-    either the old complete entry or the new complete entry — never a
-    partial write — and a killed process leaves at worst an orphaned
-    ``.tmp`` file, never a truncated ``.pkl``.  Any failure (including
-    an unpicklable result) degrades to a no-op with the temp file
-    cleaned up.
+    *obj* is serialized with *dumps* first, so an unserializable object
+    never touches the disk.  The bytes are written to a private temp
+    file in the entry's directory and ``os.replace``\\ d into place, so
+    a concurrent reader observes either the old complete entry or the
+    new complete entry — never a partial write — and a killed process
+    leaves at worst an orphaned ``.tmp`` file, never a truncated entry.
+    Any failure degrades to a no-op with the temp file cleaned up.
     """
-    folder = cache_dir()
+    folder = os.path.dirname(path)
     tmp = None
     try:
+        data = dumps(obj)
         os.makedirs(folder, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, os.path.join(folder, key + ".pkl"))
+            fh.write(data)
+        os.replace(tmp, path)
         tmp = None
-    except (OSError, pickle.PickleError, TypeError, AttributeError):
+    except (OSError, pickle.PickleError, TypeError, AttributeError,
+            ValueError):
         pass
     finally:
         if tmp is not None:
             _discard(tmp)
+
+
+def _pickle_dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _disk_load(key: str, expect: type = ExplorationResult):
+    """One engine pickle from :func:`cache_dir` (see :func:`disk_read`)."""
+    return disk_read(
+        os.path.join(cache_dir(), key + ".pkl"), pickle.loads, expect
+    )
+
+
+def _disk_store(key: str, result) -> None:
+    """Publish one engine pickle (see :func:`disk_write`)."""
+    disk_write(os.path.join(cache_dir(), key + ".pkl"), result, _pickle_dumps)
 
 
 def disk_stats() -> Dict[str, object]:

@@ -14,8 +14,8 @@ of the engine emits into.  It has three parts, each usable alone:
   gauges, and histograms.  It absorbs :class:`repro.memory.datatypes.
   EngineStats` from every exploration, aggregates across worker
   processes (:func:`repro.parallel.parallel_map` ships worker snapshots
-  back to the parent), and serializes to JSON for ``BENCH_*`` files and
-  the ``--metrics-out`` CLI flag.
+  back to the parent), and serializes to JSON for the
+  ``--metrics-out`` CLI flag.
 * :mod:`repro.obs.render` — the execution-explanation renderer: it
   turns a failing exploration, a shrunk conformance witness, or a
   failing wDRF check into a step-by-step textual/JSON account of the

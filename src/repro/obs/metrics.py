@@ -5,8 +5,8 @@ EngineStats`: every exploration already accumulates an ``EngineStats``;
 when metrics are enabled the engine folds it into the registry at the
 end of the run (:func:`absorb_engine_stats`), and subsystems add their
 own cold-path counters (cache hits, fuzz findings, verifier passes) on
-top.  Everything serializes to plain JSON for ``BENCH_*`` files and the
-``--metrics-out`` CLI flag.
+top.  Everything serializes to plain JSON for the ``--metrics-out`` CLI
+flag.
 
 Like the tracer, collection is **off by default** and the hot paths
 never touch the registry per-state — only per-exploration and at other

@@ -12,8 +12,9 @@ The global sink defaults to ``None`` and every emission site is written
         tracer.SINK.emit(tracer.PROMISE_MADE, tid=t, loc=loc, ts=ts)
 
 — a single module-attribute load and ``is None`` test on the no-op
-path, far below the 2% overhead budget the ``promise_heavy`` benchmark
-guards (see ``docs/OBSERVABILITY.md``).  Long-running loops may hoist
+path, with no call into this package; ``TestFreeWhenOff`` in
+``tests/test_obs.py`` counts those calls (see
+``docs/OBSERVABILITY.md``).  Long-running loops may hoist
 ``tracer.SINK`` into a local at loop entry; a sink installed mid-loop
 is then picked up by the next loop, which is the documented contract.
 

@@ -96,8 +96,9 @@ def resolve_shard_jobs(shard_jobs: Optional[int] = None) -> int:
 class JobPlan(NamedTuple):
     """The resolved fan-out decision for one :func:`parallel_map` batch.
 
-    Recorded in benchmark output so a regression ("parallel" slower than
-    serial) can be traced to the machine, not guessed at.
+    ``reason`` says why ``workers`` was chosen, so a "parallel" run
+    that is no faster than serial can be traced to the machine or the
+    batch, not guessed at.
     """
 
     workers: int      # what the batch will actually run with

@@ -10,20 +10,25 @@ re-entry, no disk read.
 documents vary from a few hundred bytes to tens of KB of rendered
 counterexample), with hit/miss/eviction counters mirrored into the
 ``obs`` metrics registry when it is enabled.  Below it sits a small
-JSON-per-key disk layer under ``<cache_dir>/serve`` sharing the atomic
-write-and-replace discipline of :mod:`repro.memory.cache` — corrupt
-entries are deleted and treated as misses.
+JSON-per-key disk layer under ``<cache_dir>/serve`` that goes through
+the engine cache's own atomic write-and-replace store and
+delete-on-corrupt load (:func:`repro.memory.cache.disk_write` /
+:func:`repro.memory.cache.disk_read`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from repro.memory.cache import cache_dir, cache_enabled
+from repro.memory.cache import (
+    cache_dir,
+    cache_enabled,
+    disk_read,
+    disk_write,
+)
 from repro.obs import metrics
 
 
@@ -47,44 +52,22 @@ def disk_load(key: str) -> Optional[Dict[str, Any]]:
     """Load one result document, deleting anything unreadable."""
     if not serve_disk_enabled():
         return None
-    path = os.path.join(serve_disk_dir(), key + ".json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return None
-    if not isinstance(doc, dict):
-        return None
-    return doc
+    return disk_read(
+        os.path.join(serve_disk_dir(), key + ".json"), json.loads, dict
+    )
+
+
+def _json_dumps(doc: Dict[str, Any]) -> bytes:
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def disk_store(key: str, doc: Dict[str, Any]) -> None:
-    """Atomically persist one result document (mirrors ``_disk_store``)."""
+    """Atomically persist one result document."""
     if not serve_disk_enabled():
         return
-    folder = serve_disk_dir()
-    tmp = None
-    try:
-        os.makedirs(folder, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, os.path.join(folder, key + ".json"))
-        tmp = None
-    except (OSError, TypeError, ValueError):
-        pass
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    disk_write(
+        os.path.join(serve_disk_dir(), key + ".json"), doc, _json_dumps
+    )
 
 
 class HotTier:

@@ -45,10 +45,15 @@ __all__ = [
 _BACKENDS = ("explore", "bmc", "auto")
 
 #: Predicted state count (log10) above which exploration is deemed the
-#: slower backend.  Calibrated against BENCH_exploration.json: promise
-#: certification holds the engine to a few thousand relaxed states per
-#: second, while a fragment-sized CNF encode+solve costs tens of
-#: milliseconds, so the break-even sits around 10^3 predicted states.
+#: slower backend.  ``test_explosion_spec_features_cross_the_threshold``
+#: (tests/test_bmc_backend.py) pins the spec it must route to BMC.  On
+#: that spec, measured on a 2-CPU Intel Xeon at commit 127d02b (median
+#: of 5, caches off), ``verify_wdrf`` takes 2.33 s forced to
+#: exploration (2 passes, 63,744 states, about 27k states/s) and 8 ms
+#: routed to BMC (2 SAT passes).  An encode+solve of that size buys
+#: only a few hundred explored states, so the break-even sits between
+#: 10^2 and 10^3 predicted states; 10^3 keeps small programs on
+#: exploration.
 _EXPLOSION_LOG10 = 3.0
 
 #: Each promisable (plain, non-release) store roughly doubles the

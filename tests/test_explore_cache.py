@@ -17,6 +17,7 @@ from repro.memory.cache import (
     monitored_exploration_key,
 )
 from repro.memory.datatypes import ExplorationMonitor
+from repro.serve import hot_tier
 
 X, Y = 0x10, 0x20
 
@@ -38,6 +39,18 @@ def two_thread_program():
         [t0, t1], observed={0: ["r0"], 1: ["r1"]},
         initial_memory={X: 0, Y: 0},
     )
+
+
+def _serve_disk_on(monkeypatch):
+    monkeypatch.delenv("REPRO_EXPLORE_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SERVE_DISK", raising=False)
+    assert hot_tier.serve_disk_enabled()
+
+
+def _circular_doc():
+    doc = {}
+    doc["self"] = doc
+    return doc
 
 
 class CountingMonitor(ExplorationMonitor):
@@ -171,6 +184,37 @@ class TestCrashSafeDiskStore:
         _disk_store("deadbeef", lambda: None)  # lambdas cannot pickle
         assert list(isolated_cache.glob("*.tmp")) == []
         assert list(isolated_cache.glob("*.pkl")) == []
+
+    @pytest.mark.parametrize("content", [
+        b'{"truncated": ',
+        b"\xff\xfe not utf-8",
+        b'["a list, not a result document"]',
+    ], ids=["truncated", "undecodable", "wrong-type"])
+    def test_corrupt_serve_entry_is_deleted_on_load(
+        self, isolated_cache, monkeypatch, content
+    ):
+        # The serve layer's JSON result documents share the engine
+        # pickles' load path: a corrupt entry is a miss and is removed.
+        _serve_disk_on(monkeypatch)
+        key = "1" * 64
+        folder = isolated_cache / "serve"
+        folder.mkdir()
+        path = folder / (key + ".json")
+        path.write_bytes(content)
+        assert hot_tier.disk_load(key) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize("make_doc", [
+        lambda: {"verdict": {1, 2}},  # a set is not JSON
+        lambda: _circular_doc(),
+    ], ids=["unserialisable-value", "circular"])
+    def test_unserialisable_serve_document_leaves_no_debris(
+        self, isolated_cache, monkeypatch, make_doc
+    ):
+        _serve_disk_on(monkeypatch)
+        hot_tier.disk_store("cafe", make_doc())
+        assert list(isolated_cache.rglob("*.tmp")) == []
+        assert list(isolated_cache.rglob("*.json")) == []
 
     def test_concurrent_writers_never_corrupt_a_reader(
         self, isolated_cache

@@ -32,7 +32,7 @@ from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
 from repro.ir.expr import Reg
 from repro.ir.program import MMUConfig
-from repro.litmus.catalog import full_corpus
+from repro.litmus.catalog import full_corpus, promise_heavy_program
 from repro.litmus.runner import litmus_configs
 from repro.memory import liveness, semantics
 from repro.memory.exploration import explore
@@ -55,7 +55,6 @@ from repro.memory.semantics import (
     _collect_search,
 )
 from repro.memory.state import StateInterner, initial_state
-from repro.parallel.bench import promise_heavy_program
 from repro.smt import bmc_behaviors
 
 X, Y, Z = 0x10, 0x20, 0x30

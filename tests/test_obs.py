@@ -11,9 +11,14 @@ Covers the three contracts the layer makes:
   POR ample choices, cache hits).
 * **Aggregation** — the metrics registry merges process snapshots
   additively, including across real pool workers.
+* **Free when off** — with no sink installed and metrics off, an
+  exploration makes no Python call into ``repro.obs`` at all.
 """
 
+import collections
 import multiprocessing
+import os
+import sys
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.litmus import catalog
 from repro.litmus.runner import SC_CFG, rm_config
 from repro.memory.cache import cached_explore, clear_memory_cache
 from repro.memory.exploration import explore
+from repro.memory.semantics import ModelConfig
 from repro.obs import metrics, tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullSink, RecordingSink, recording
@@ -141,6 +147,89 @@ class TestBitIdentity:
         with recording():
             traced = _digest_tuple(explore(test.program, SC_CFG))
         assert baseline == traced
+
+
+_OBS_DIR = os.path.dirname(tracer.__file__) + os.sep
+
+
+def _obs_calls(max_promises, sink=None, with_metrics=False):
+    """Explore ``promise_heavy`` under ``sys.setprofile`` and count the
+    Python calls into functions defined under ``src/repro/obs/``.
+
+    Returns ``(states, calls, names)``: *calls* is kept in shared memory
+    so forked shard workers, which inherit the profile function, add
+    theirs; *names* counts the parent's calls per function.
+    """
+    calls = multiprocessing.Value("q", 0)
+    names = collections.Counter()
+
+    def probe(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_OBS_DIR):
+            names[frame.f_code.co_name] += 1
+            with calls.get_lock():
+                calls.value += 1
+
+    program = catalog.promise_heavy_program()
+    cfg = ModelConfig(relaxed=True, max_promises_per_thread=max_promises)
+    if sink is not None:
+        tracer.install(sink)
+    if with_metrics:
+        metrics.REGISTRY.reset()
+        metrics.enable()
+    previous = sys.getprofile()
+    sys.setprofile(probe)
+    try:
+        result = explore(program, cfg)
+    finally:
+        sys.setprofile(previous)
+        tracer.uninstall()
+        metrics.disable()
+    assert result.complete
+    return result.states_explored, calls.value, names
+
+
+class TestFreeWhenOff:
+    """The contract of docs/OBSERVABILITY.md: with no sink installed and
+    metrics off, each emission site costs one ``None`` test (or one
+    ``metrics.ENABLED`` read) and makes no call into ``repro.obs``.
+    Counting calls instead of timing them makes the check exact on
+    every host: one per-step call anywhere in the engine fails it."""
+
+    def test_untraced_exploration_makes_no_obs_call(self):
+        states, calls, names = _obs_calls(3)
+        assert states > 5000
+        assert calls == 0, f"untraced run called into repro.obs: {names}"
+
+    def test_probe_sees_the_emission_sites(self):
+        # Control for the test above: with a NullSink the same sites do
+        # call into repro.obs, about twice per state.
+        small_states, small, _ = _obs_calls(1, sink=NullSink())
+        states, calls, names = _obs_calls(3, sink=NullSink())
+        assert states > small_states
+        assert calls > small > small_states
+        assert names["emit"] > 0 and names["next_seq"] > 0
+
+    def test_metrics_cost_is_per_exploration_not_per_state(self):
+        small_states, small, _ = _obs_calls(1, with_metrics=True)
+        states, calls, names = _obs_calls(3, with_metrics=True)
+        assert states > small_states
+        assert calls == small > 0, names
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="frontier sharding requires the fork start method",
+    )
+    def test_sharded_exploration_makes_no_obs_call(self, monkeypatch):
+        # The orchestrator's sites (shard_steal, visited_filter_hit, the
+        # shard_explore span) run in this process; the workers' sites
+        # are counted through the shared counter.
+        monkeypatch.setenv("REPRO_SHARD", "2")
+        _, calls, names = _obs_calls(3)
+        assert calls == 0, f"untraced run called into repro.obs: {names}"
+        _, null_calls, null_names = _obs_calls(3, sink=NullSink())
+        parent = sum(null_names.values())
+        assert null_names["begin_span"] > 0 and null_names["emit"] > 0
+        assert null_calls > parent, "the workers' calls were not counted"
 
 
 class TestEventTruth:

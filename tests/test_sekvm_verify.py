@@ -62,6 +62,9 @@ def test_verify_sekvm_with_buggy_all_as_expected():
     rejected = [o for o in outcome.outcomes if not o.case.should_verify]
     assert len(verified) == 6
     assert len(rejected) == 7
+    # The pooled path merges the same outcomes in case order.
+    pooled = verify_sekvm(include_buggy=True, jobs=2)
+    assert pooled.describe() == outcome.describe()
 
 
 def test_describe_lists_every_case():
