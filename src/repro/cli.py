@@ -32,12 +32,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default: all CPUs; 1 = serial)",
     )
     parser.add_argument(
-        "--shard-jobs", type=int, default=None, metavar="N",
-        help="split each single exploration's frontier over N "
-        "work-stealing shards (sets REPRO_SHARD; default: unsharded; "
-        "-1 = all CPUs; results are bit-identical to serial)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="ignore and do not write the persistent exploration cache",
     )
@@ -91,13 +85,12 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def _apply_cache_flag(args: argparse.Namespace) -> bool:
     """Honor ``--no-cache`` / ``--no-memo`` / ``--no-fuse`` /
-    ``--shard-jobs``; returns the ``cache=`` value for libraries."""
+    ``--backend`` / ``--model``; returns the ``cache=`` value for
+    libraries."""
     if getattr(args, "no_memo", False):
         os.environ["REPRO_CERT_MEMO"] = "0"
     if getattr(args, "no_fuse", False):
         os.environ["REPRO_FUSE"] = "0"
-    if getattr(args, "shard_jobs", None) is not None:
-        os.environ["REPRO_SHARD"] = str(args.shard_jobs)
     if getattr(args, "backend", None) is not None:
         os.environ["REPRO_BACKEND"] = args.backend
     if getattr(args, "model", None) is not None:

@@ -6,7 +6,7 @@ proved on paper but merely *implemented* here: SC behaviors embed into
 Promising Arm behaviors, wDRF programs behave identically on both, the
 operational executor matches the axiomatic model, and every engine
 optimization (POR, certification memoization, pass fusion, the SAT
-backend, frontier sharding, the process pool, the VM feature gates) is
+backend, the process pool, the VM feature gates) is
 behavior-preserving.  This package turns each relation into an entry of
 one oracle registry (:mod:`~repro.conformance.oracles`, the
 repository's only differential-check mechanism), drives

@@ -38,11 +38,6 @@ bug, never on an expected relaxed-memory effect:
     the certification memo — keep the relaxed behavior set: a minimal
     reference DFS over the bare step relation (exact state keys, every
     thread scheduled, no memo) must reach exactly the same behaviors.
-``shard``
-    A frontier-sharded exploration (:mod:`repro.parallel.shard`, two
-    workers) reproduces the serial one: behaviors, ``complete``,
-    ``states_explored``, ``cut_paths``, ``stopped_early`` and, for the
-    spec's monitored wDRF passes, every monitor's final state.
 ``vm_neutral``
     The relaxed-virtual-memory feature families only change programs
     that use the MMU: an MMU-free program has the same behavior set
@@ -91,7 +86,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -111,12 +105,7 @@ from repro.ir.program import Program
 from repro.memory.axiomatic import axiomatic_outcomes, eligible
 from repro.memory.cache import cached_explore
 from repro.memory.datatypes import ExplorationResult
-from repro.memory.exploration import (
-    _explore,
-    behavior_of,
-    explore,
-    por_default_enabled,
-)
+from repro.memory.exploration import behavior_of, explore
 from repro.memory.semantics import (
     PROMISING_ARM,
     PTE_DIRTY,
@@ -310,11 +299,6 @@ def _pass_requests(
         for plan in (_condition_plan(spec, name),)
         if isinstance(plan, PassRequest)
     ]
-
-
-def _pass_monitors(spec: WDRFSpec, names: Sequence[str]) -> List[object]:
-    """Fresh monitors of the exploring checks among *names*."""
-    return [plan.monitor for _, plan in _pass_requests(spec, names)]
 
 
 def _wdrf_passes(spec: WDRFSpec) -> Iterator[Tuple[Tuple[str, ...], List]]:
@@ -660,65 +644,6 @@ def _check_reduction(subject: Subject) -> List[Disagreement]:
     )]
 
 
-def _check_shard(subject: Subject) -> List[Disagreement]:
-    """Two-way frontier sharding against the serial engine.
-
-    Covers plain explorations of both models and, given a spec, every
-    fused monitored pass.  ``EngineStats`` memo-locality counters
-    legitimately differ (each worker owns its memo), so the diff covers
-    the verification-visible fields and the monitor outcomes.  Both
-    sides explore directly: sharding is not part of the cache key, so a
-    cached second run would make the comparison vacuous.
-    """
-    from repro.parallel import shard
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return []  # sharding cannot run here (no fork / pool child)
-    program = subject.program
-    spec = subject.wdrf_spec()
-    por = por_default_enabled()
-    runs = [(label, cfg, subject.observe, ()) for label, cfg in subject.models()]
-    if subject.spec is not None:
-        runs.extend(
-            ("wDRF pass " + "+".join(names), plan.cfg,
-             list(plan.observe_locs), names)
-            for names, ((_, plan), *_) in _wdrf_passes(spec)
-        )
-    out: List[Disagreement] = []
-    for label, cfg, observe, names in runs:
-        sharded_monitors = _pass_monitors(spec, names)
-        sharded = shard.shard_explore(
-            program, cfg, observe, por, sharded_monitors, True, jobs=2,
-        )
-        serial_monitors = _pass_monitors(spec, names)
-        serial = _explore(program, cfg, observe, False, por, serial_monitors)
-        diff = _behaviors_diff("sharded", sharded, "serial", serial)
-        problems = [diff] if diff else []
-        for field_name in ("complete", "states_explored", "cut_paths",
-                           "stopped_early"):
-            got = getattr(sharded, field_name)
-            want = getattr(serial, field_name)
-            if got != want:
-                problems.append(
-                    f"{field_name}: sharded={got!r} serial={want!r}"
-                )
-        for mon_s, mon_r in zip(sharded_monitors, serial_monitors):
-            got, want = mon_s.snapshot(), mon_r.snapshot()
-            if got != want:
-                problems.append(
-                    f"monitor {type(mon_s).__name__}: "
-                    f"sharded={got!r} serial={want!r}"
-                )
-        if problems:
-            out.append(Disagreement(
-                oracle="shard",
-                detail=f"sharded {label} exploration diverged from serial: "
-                + "; ".join(problems),
-            ))
-    return out
-
-
 def _diff_reports(fused: WDRFReport, unfused: WDRFReport) -> List[str]:
     diffs: List[str] = []
     if fused.subject != unfused.subject:
@@ -796,7 +721,6 @@ ORACLES: Dict[str, Oracle] = {
     "reduction": Oracle(_check_reduction, CONFIG),
     "portability": Oracle(_check_portability, MODEL_DIFF),
     "vm_neutral": Oracle(_check_vm_neutral, VM),
-    "shard": Oracle(_check_shard, CONFIG),
     "fuse": Oracle(_check_fuse, CONFIG),
     "jobs": Oracle(_check_jobs, CONFIG),
 }
@@ -812,8 +736,7 @@ def check_program(
     """Run the named oracles on *program*; [] means full agreement.
 
     *spec* (whose program must be *program*) adds the spec's wDRF passes
-    to the spec-aware oracles (``backend``, ``shard``, ``fuse``,
-    ``monitor``); *sc*/*rm* are the two model configurations the
+    to the spec-aware oracles (``backend``, ``fuse``, ``monitor``); *sc*/*rm* are the two model configurations the
     behavior oracles explore.  Oracles run in registry order; an unknown
     name raises :class:`ValueError`.
     """

@@ -37,8 +37,11 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import re
 import tempfile
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.ir.program import Program
 from repro.memory import mutants
@@ -332,15 +335,18 @@ def disk_write(path: str, obj, dumps: Callable[[object], bytes]) -> None:
     file in the entry's directory and ``os.replace``\\ d into place, so
     a concurrent reader observes either the old complete entry or the
     new complete entry — never a partial write — and a killed process
-    leaves at worst an orphaned ``.tmp`` file, never a truncated entry.
-    Any failure degrades to a no-op with the temp file cleaned up.
+    leaves at worst an orphaned ``<entry name>.<random>.tmp`` file, never
+    a truncated entry.  Any failure degrades to a no-op with the temp
+    file cleaned up.
     """
     folder = os.path.dirname(path)
     tmp = None
     try:
         data = dumps(obj)
         os.makedirs(folder, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(
+            dir=folder, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -369,36 +375,52 @@ def _disk_store(key: str, result) -> None:
     disk_write(os.path.join(cache_dir(), key + ".pkl"), result, _pickle_dumps)
 
 
+#: The persistent layers: label, subdirectory of :func:`cache_dir`, and
+#: the suffix of the ``<sha256 hex>`` entry names the layer writes.
+_DISK_LAYERS = (("engine", "", ".pkl"), ("serve", "serve", ".json"))
+
+
+def _cache_files(folder: str, suffix: str) -> Iterator[Tuple[str, bool]]:
+    """``(path, is_tmp)`` for every file in *folder* this cache wrote:
+    ``<sha256 hex><suffix>`` entries and the temp files
+    :func:`disk_write` orphans when killed mid-write.  Foreign files
+    sharing the directory are never listed; an unreadable directory
+    lists nothing.
+    """
+    owned = re.compile(
+        r"[0-9a-f]{64}" + re.escape(suffix) + r"(\.[a-z0-9_]+\.tmp)?"
+    )
+    try:
+        names = os.listdir(folder)
+    except OSError:
+        return
+    for name in names:
+        match = owned.fullmatch(name)
+        if match:
+            yield os.path.join(folder, name), match.group(1) is not None
+
+
 def disk_stats() -> Dict[str, object]:
     """Entry counts and bytes on disk for every persistent layer.
 
     Scans :func:`cache_dir` (engine results: exploration, monitored,
     BMC pickles) and its ``serve/`` subdirectory (rendered job results
-    the serving layer persists) without loading anything; unreadable
-    directories count as empty.
+    the serving layer persists) without loading anything.
     """
     folder = cache_dir()
     stats: Dict[str, object] = {"dir": folder}
-    for label, path, suffix in (
-        ("engine", folder, ".pkl"),
-        ("serve", os.path.join(folder, "serve"), ".json"),
-    ):
+    for label, sub, suffix in _DISK_LAYERS:
         entries = total = stale_tmp = 0
-        try:
-            names = os.listdir(path)
-        except OSError:
-            names = []
-        for name in names:
-            full = os.path.join(path, name)
+        for path, is_tmp in _cache_files(os.path.join(folder, sub), suffix):
             try:
-                size = os.path.getsize(full)
+                size = os.path.getsize(path)
             except OSError:
                 continue
-            if name.endswith(suffix):
+            if is_tmp:
+                stale_tmp += 1
+            else:
                 entries += 1
                 total += size
-            elif name.endswith(".tmp"):
-                stale_tmp += 1
         stats[label] = {
             "entries": entries, "bytes": total, "stale_tmp": stale_tmp,
         }
@@ -408,25 +430,21 @@ def disk_stats() -> Dict[str, object]:
 def clear_disk_cache() -> int:
     """Delete every persistent cache entry; returns the files removed.
 
-    Removes engine pickles, serve-layer result JSONs, and any orphaned
-    ``.tmp`` files, leaving the directories in place.  Safe to run
-    concurrently with readers/writers — both sides treat a vanished
-    file as a plain miss.
+    Removes engine pickles, serve-layer result JSONs, and orphaned
+    temp files — only names the cache itself writes, so foreign files
+    in a shared directory survive — leaving the directories in place.
+    Safe to run concurrently with readers/writers: both sides treat a
+    vanished file as a plain miss.
     """
     folder = cache_dir()
     removed = 0
-    for path in (folder, os.path.join(folder, "serve")):
-        try:
-            names = os.listdir(path)
-        except OSError:
-            continue
-        for name in names:
-            if name.endswith((".pkl", ".json", ".tmp")):
-                try:
-                    os.unlink(os.path.join(path, name))
-                    removed += 1
-                except OSError:
-                    pass
+    for _, sub, suffix in _DISK_LAYERS:
+        for path, _ in _cache_files(os.path.join(folder, sub), suffix):
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:
+                pass
     return removed
 
 

@@ -123,13 +123,7 @@ def _successors(
     sink,
 ) -> List[ExecState]:
     """Expand one non-terminal state: the full scheduler/promise fan-out,
-    or the single ample thread when the POR plan offers one.
-
-    Shared by the serial DFS loop and the shard workers
-    (:mod:`repro.parallel.shard`) so both expand a given state into the
-    byte-identical successor list — the property the frontier-sharding
-    merge relies on.
-    """
+    or the single ample thread when the POR plan offers one."""
     successors: Optional[List[ExecState]] = None
     if plan is not None:
         ample = plan.ample_thread(cache, state, stats=stats)
@@ -246,24 +240,6 @@ def explore(
     cfg = resolve_model(resolve_vm_features(cfg))
     if por is None:
         por = por_default_enabled()
-    if (
-        not keep_terminal_states
-        and os.environ.get("REPRO_SHARD", "0") not in ("", "0", "1")
-    ):
-        # Intra-exploration frontier sharding (REPRO_SHARD).  The gate
-        # lives here — not in the cache key inputs — because a sharded
-        # run is bit-identical to the serial one, so cached results are
-        # valid across shard configurations.  ``keep_terminal_states``
-        # runs are excluded: the terminal-state *tuple order* is a
-        # serial-DFS artifact the merge does not reconstruct (it is a
-        # debugging aid, not a verification path).
-        from repro.parallel.shard import maybe_shard_explore
-
-        sharded = maybe_shard_explore(
-            program, cfg, observe_locs, por, monitors, monitor_cut,
-        )
-        if sharded is not None:
-            return sharded
     return _explore(
         program, cfg, observe_locs, keep_terminal_states, por, monitors,
         monitor_cut,

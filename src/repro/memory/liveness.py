@@ -486,9 +486,8 @@ def visited_key(
     """The outer DFS's visited-set key: the interner key of the
     projected state, or the projected state itself without interning.
 
-    The one key function every outer deduplication site uses — the
-    serial explorer and the shard seed and workers — so they always
-    agree on which states are duplicates.
+    The one key function every outer deduplication site uses, so they
+    always agree on which states are duplicates.
     """
     if interner is None:
         return project

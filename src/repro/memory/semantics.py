@@ -1074,7 +1074,7 @@ def tso_flush_steps(
 
     Flushes are nondeterministic hardware steps, so they are generated
     alongside instruction steps by every search loop (the explorer's
-    ``_successors``, the shard workers, the traced search) — including
+    ``_successors``, the traced search) — including
     for *halted* threads, whose leftover buffered writes must still
     reach memory before the execution can terminate.  One write per
     step keeps every interleaving with other threads reachable.

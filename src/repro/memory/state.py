@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from hashlib import blake2b
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.memory.datatypes import Fault, Message
@@ -32,177 +31,6 @@ def interning_enabled() -> bool:
     """
     return os.environ.get("REPRO_INTERN", "1") != "0"
 
-
-def _canonical_bytes(obj) -> bytes:
-    """A canonical serialization of one state component.
-
-    ``repr`` *is* canonical for states: every component is nested named
-    tuples whose leaves are ints, bools, ``None``, and plain strings,
-    so its repr is deterministic (no hash-ordered containers, no object
-    addresses) and injective (strings are quoted, fields are named) —
-    equal values repr equally, distinct values differently.
-    """
-    return repr(obj).encode("utf-8", "surrogatepass")
-
-
-def _component_digest(obj) -> bytes:
-    """16-byte ``blake2b`` digest of one state component.
-
-    The component is viewed as a plain tuple first: CPython's C-level
-    tuple repr is several times faster than a named tuple's
-    ``%``-formatting Python ``__repr__``, and the positional view stays
-    injective because every fingerprint frame holds one fixed layout
-    (``Message`` in the timeline frame, ``ThreadCtx`` in the per-thread
-    frames) with no nested named tuples inside.
-    """
-    return blake2b(
-        repr(tuple(obj)).encode("utf-8", "surrogatepass"), digest_size=16
-    ).digest()
-
-
-def _tail_digest(tail: Tuple) -> bytes:
-    """16-byte digest of the scalar tail ``state[2:]``.
-
-    The tail is a plain tuple (sliced off the state), so its repr is
-    already C-level; digesting it down to a fixed 16-byte frame lets a
-    :class:`FingerprintMemo` key it by component identity — the tail's
-    components (TLBs, ownership map, fault log, ...) change far more
-    rarely than the timeline or thread contexts, so across a run the
-    same handful of tails recur by identity almost every step.
-    """
-    return blake2b(_canonical_bytes(tail), digest_size=16).digest()
-
-
-def _timeline_digest(
-    memory: Tuple[Message, ...], msg_digest=_component_digest
-) -> bytes:
-    """Digest of a timeline, composed from per-message digests.
-
-    Composed (rather than one digest of the whole tuple's bytes) so a
-    memo can reuse the per-message work: a store/promise step appends
-    to the timeline — a *new* tuple, so an identity-keyed timeline
-    cache misses on every such successor — but the message objects
-    inside are shared with the predecessor, so their digests all hit.
-    The 16-byte blocks self-frame (distinct lengths, distinct inputs).
-    """
-    h = blake2b(digest_size=16)
-    for msg in memory:
-        h.update(msg_digest(msg))
-    return h.digest()
-
-
-class FingerprintMemo:
-    """Identity-keyed cache of component digests for one exploration.
-
-    The message timeline is shared *by identity* between a state and
-    most of its successors, all but one ``ThreadCtx`` survive every
-    step untouched, and every ``Message`` outlives the timeline append
-    that copies the tuple around it (the same sharing
-    :class:`StateInterner` exploits) — so their digests are worth
-    memoizing by ``id()``.  Every cached object is pinned to keep its
-    ``id`` from being recycled, which is why a memo must be scoped to
-    one exploration, like an interner.  Unlike interner codes, the
-    cached values are content-based, so memos in different processes
-    always agree.
-    """
-
-    __slots__ = ("_by_id", "_pins")
-
-    def __init__(self) -> None:
-        # Keyed by id(component) for timelines/contexts/messages, and
-        # by a tuple of component ids for state tails — an int key can
-        # never equal a tuple key, so the two families cannot collide.
-        self._by_id: Dict[object, bytes] = {}
-        self._pins: List[object] = []
-
-    def digest(self, obj) -> bytes:
-        d = self._by_id.get(id(obj))
-        if d is None:
-            d = _component_digest(obj)
-            self._by_id[id(obj)] = d
-            self._pins.append(obj)
-        return d
-
-    def timeline_digest(self, memory: Tuple[Message, ...]) -> bytes:
-        by_id = self._by_id
-        d = by_id.get(id(memory))
-        if d is None:
-            # C-level bulk lookup of the per-message digests; only the
-            # genuinely new messages (almost always the one appended by
-            # this step) drop into the Python fill-in loop.
-            parts = list(map(by_id.get, map(id, memory)))
-            if None in parts:
-                for i, md in enumerate(parts):
-                    if md is None:
-                        parts[i] = self.digest(memory[i])
-            d = blake2b(b"".join(parts), digest_size=16).digest()
-            by_id[id(memory)] = d
-            self._pins.append(memory)
-        return d
-
-
-def state_fingerprint(
-    state: "ExecState", memo: Optional[FingerprintMemo] = None
-) -> int:
-    """A 128-bit content fingerprint of *state* for cross-process dedup.
-
-    :class:`StateInterner` keys are per-process (a timeline's code is
-    the order it was first seen in *that* interner), so they can never
-    be compared across shard workers.  The fingerprint is a genuine
-    ``blake2b`` digest over a framed composition of component digests
-    instead — thread count, timeline digest, one digest per
-    ``ThreadCtx``, then the digest of the scalar tail — built
-    from :func:`_canonical_bytes`, so it is independent of
-    ``PYTHONHASHSEED`` and the process boundary: any two processes
-    agree on it.  Passing a :class:`FingerprintMemo` only caches the
-    per-component digests (timelines and thread contexts are shared by
-    identity across successor states); the value is identical with and
-    without one.
-
-    A ``hash()``-derived fingerprint is **not** an alternative:
-    CPython's tuple hash is a pure function of element hashes, so two
-    salted passes over the same tuple are fully correlated — any
-    ``hash()`` collision between states (trivial to hit: ``hash(-1) ==
-    hash(-2)`` propagates through every enclosing tuple) would collide
-    in all 128 bits, and a false filter hit silently drops a subtree.
-    A genuine 128-bit digest puts an accidental collision in the same
-    trust class as the truncated-SHA256 keys of the persistent
-    exploration cache.  The result is never 0, so shared-memory
-    filters can use an all-zero slot as the empty marker.
-    """
-    threads = state.threads
-    tail = state[2:]
-    if memo is None:
-        parts = [
-            len(threads).to_bytes(4, "big"),
-            _timeline_digest(state.memory),
-            *map(_component_digest, threads),
-            _tail_digest(tail),
-        ]
-    else:
-        # Warm-path probes are inlined: for a typical successor every
-        # component but one is identity-shared with its parent, so the
-        # common case is a bare dict probe, not a bound-method call.
-        by_id = memo._by_id
-        get = by_id.get
-        memory = state.memory
-        d = get(id(memory))
-        parts = [
-            len(threads).to_bytes(4, "big"),
-            d if d is not None else memo.timeline_digest(memory),
-        ]
-        for t in threads:
-            d = get(id(t))
-            parts.append(d if d is not None else memo.digest(t))
-        tkey = tuple(map(id, tail))
-        d = get(tkey)
-        if d is None:
-            d = _tail_digest(tail)
-            by_id[tkey] = d
-            memo._pins.append(tail)
-        parts.append(d)
-    digest = blake2b(b"".join(parts), digest_size=16).digest()
-    return int.from_bytes(digest, "big") or 1
 
 Pairs = Tuple[Tuple, ...]
 

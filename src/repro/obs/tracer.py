@@ -64,11 +64,6 @@ CACHE_MISS = "cache_miss"
 SPAN_BEGIN = "span_begin"
 #: A phase closed.
 SPAN_END = "span_end"
-#: A shard worker offloaded a frontier batch to the steal queue.
-SHARD_STEAL = "shard_steal"
-#: The shared visited filter rejected an already-claimed state (per-event
-#: in workers; re-emitted as one aggregate event by the orchestrator).
-VISITED_FILTER_HIT = "visited_filter_hit"
 
 
 class TraceEvent(NamedTuple):

@@ -12,12 +12,6 @@ Libraries default to serial (``jobs=None``); the CLI resolves its
 ``--jobs`` flag with :func:`default_jobs`, which counts the CPUs the
 process may actually run on (:func:`available_cpus` — affinity-mask
 aware, re-read on every call, never cached at import time).
-
-The second axis is *intra-exploration* parallelism
-(:mod:`repro.parallel.shard`): one big exploration's frontier split
-over work-stealing workers behind ``--shard-jobs``/``REPRO_SHARD``,
-still bit-identical to serial.  :func:`plan_jobs` splits a budget
-between the two axes — they multiply, so only one engages per batch.
 """
 
 from repro.parallel.pool import (
@@ -27,8 +21,7 @@ from repro.parallel.pool import (
     parallel_map,
     plan_jobs,
     resolve_jobs,
-    resolve_shard_jobs,
 )
 
 __all__ = ["JobPlan", "available_cpus", "default_jobs", "parallel_map",
-           "plan_jobs", "resolve_jobs", "resolve_shard_jobs"]
+           "plan_jobs", "resolve_jobs"]

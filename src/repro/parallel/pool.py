@@ -70,29 +70,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def resolve_shard_jobs(shard_jobs: Optional[int] = None) -> int:
-    """Normalize a ``--shard-jobs`` request to a concrete shard count.
-
-    ``None`` falls back to the ``REPRO_SHARD`` environment knob (unset
-    or empty means unsharded); the numeric conventions then mirror
-    :func:`resolve_jobs` — ``0`` means serial, a negative count means
-    "all CPUs", anything else is literal.
-    """
-    if shard_jobs is None:
-        raw = os.environ.get("REPRO_SHARD", "").strip()
-        if not raw:
-            return 1
-        try:
-            shard_jobs = int(raw)
-        except ValueError:
-            return 1
-    if shard_jobs == 0:
-        return 1
-    if shard_jobs < 0:
-        return default_jobs()
-    return shard_jobs
-
-
 class JobPlan(NamedTuple):
     """The resolved fan-out decision for one :func:`parallel_map` batch.
 
@@ -106,22 +83,9 @@ class JobPlan(NamedTuple):
     cpus: int         # available_cpus() at decision time
     batch: int        # number of items
     reason: str       # why workers was chosen
-    shard_jobs: int = 1          # intra-exploration shards per item
-    shard_requested: int = 1     # resolve_shard_jobs() of the request
-    shard_reason: str = "unsharded"  # why shard_jobs was chosen
 
 
-#: A single exploration below this many (estimated) states cannot
-#: amortize the shard setup cost (fork + shared filter + steal queue).
-MIN_STATES_PER_SHARD = 2_000
-
-
-def plan_jobs(
-    jobs: Optional[int],
-    batch_size: int,
-    shard_jobs: Optional[int] = None,
-    per_item_states: Optional[int] = None,
-) -> JobPlan:
+def plan_jobs(jobs: Optional[int], batch_size: int) -> JobPlan:
     """Resolve a ``jobs`` request against the machine and the batch.
 
     The auto heuristic exists because forking is not free: on a
@@ -131,38 +95,12 @@ def plan_jobs(
     spawn + pickle cost.  The plan therefore degrades a parallel request
     to fewer workers (or to serial) whenever the fan-out cannot win, and
     says why.
-
-    The plan also splits the budget between corpus-level workers and
-    intra-exploration shards (:mod:`repro.parallel.shard`): the two
-    fan-outs multiply, so only one may engage per batch.  Corpus-level
-    parallelism wins whenever it is viable (many independent items
-    amortize better than one contended frontier); sharding engages when
-    the batch degrades to serial — the one-big-spec shape — and the
-    items are estimated big enough (``per_item_states``, when given,
-    against :data:`MIN_STATES_PER_SHARD`) to amortize the shard setup.
-    Every path returns a fully populated plan, including the shard
-    fields (the "serial-requested" path once omitted them).
     """
     requested = resolve_jobs(jobs)
-    shard_requested = resolve_shard_jobs(shard_jobs)
     cpus = available_cpus()
 
     def _plan(workers: int, reason: str) -> JobPlan:
-        if workers > 1:
-            shards, shard_reason = 1, "corpus-parallel"
-        elif shard_requested <= 1:
-            shards, shard_reason = 1, "unsharded"
-        elif (
-            per_item_states is not None
-            and per_item_states < MIN_STATES_PER_SHARD
-        ):
-            shards, shard_reason = 1, "spec-too-small"
-        else:
-            shards, shard_reason = shard_requested, "intra-exploration"
-        return JobPlan(
-            workers, requested, cpus, batch_size, reason,
-            shards, shard_requested, shard_reason,
-        )
+        return JobPlan(workers, requested, cpus, batch_size, reason)
 
     if requested <= 1:
         return _plan(1, "serial-requested")
@@ -176,20 +114,6 @@ def plan_jobs(
         return _plan(max(workers, 1), "fork-amortization")
     reason = "parallel" if workers == requested else "capped-at-cpus"
     return _plan(workers, reason)
-
-
-def _disable_sharding() -> None:
-    """Pool-worker initializer: pin ``REPRO_SHARD=0`` in the child.
-
-    Pool children are daemonic and cannot fork shard workers of their
-    own (``maybe_shard_explore`` refuses on the daemon check already);
-    this makes the refusal explicit so an inherited ``REPRO_SHARD``
-    never even attempts it.  It must run *in the child, after fork* —
-    mutating the parent's ``os.environ`` around the pool would race
-    with concurrent explorations in other threads (silently unsharding
-    them) and with concurrent ``parallel_map`` calls (whose interleaved
-    save/restores can clobber the knob permanently)."""
-    os.environ["REPRO_SHARD"] = "0"
 
 
 def _run_with_metrics(fn: Callable[[T], R], item: T):
@@ -261,9 +185,7 @@ def parallel_map(
     collect_metrics = metrics.metrics_enabled()
     if collect_metrics:
         work = functools.partial(_run_with_metrics, work)
-    with ctx.Pool(
-        processes=plan.workers, initializer=_disable_sharding
-    ) as pool:
+    with ctx.Pool(processes=plan.workers) as pool:
         results = pool.map(work, batch)
     if collect_metrics:
         for _, snap in results:

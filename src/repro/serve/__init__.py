@@ -1,10 +1,10 @@
 """Verification-as-a-service: the ``repro serve`` HTTP layer.
 
-Five PRs of engine work (POR, memoization, pass fusion, sharding, the
-BMC router) made individual queries fast; this package converts that
-into *serving throughput* for many concurrent clients verifying
-overlapping kernels.  The load-bearing observation is that real query
-mixes are duplicate-heavy — the same litmus shapes, the same KCore
+The engine work (POR, memoization, pass fusion, the BMC router) made
+individual queries fast; this package converts that into *serving
+throughput* for many concurrent clients verifying overlapping
+kernels.  The load-bearing observation is that real query mixes are
+duplicate-heavy — the same litmus shapes, the same KCore
 primitives, near-identical fuzzer genomes — so the server's job is to
 make sure each distinct computation runs **once**:
 

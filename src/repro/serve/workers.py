@@ -108,12 +108,7 @@ def _run_one(outbox, widx: int, job_id: str,
 
 
 def _worker_main(widx: int, inbox, outbox, cap: int) -> None:
-    """A worker process's whole life: drain the inbox until ``None``.
-
-    Sharding is pinned off exactly as in the CLI pool: a serving worker
-    fanning out its own shard processes would multiply the fan-out.
-    """
-    os.environ["REPRO_SHARD"] = "0"
+    """A worker process's whole life: drain the inbox until ``None``."""
     while True:
         msg = inbox.get()
         if msg is None:

@@ -434,16 +434,6 @@ def verify_wdrf(
     (``None``/``0`` = serial, negative = all CPUs); the report is merged
     in the fixed condition order either way.  ``fuse`` overrides the
     pass-fusion default (``REPRO_FUSE``).
-
-    Orthogonally, ``REPRO_SHARD``/``--shard-jobs`` shards each
-    *individual* exploration pass over work-stealing workers
-    (:mod:`repro.parallel.shard`).  Fused monitor passes stay exact
-    under sharding: the shard orchestrator replays the merged state
-    graph in serial DFS order through the real condition monitors, so
-    reports — including early-stop evidence — are bit-identical.  The
-    two axes compose safely with ``jobs``: pool children refuse to
-    shard (see :func:`repro.parallel.pool.plan_jobs`), so the budget is
-    never multiplied.
     """
     if fuse is None:
         fuse = fuse_default_enabled()

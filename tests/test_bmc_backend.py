@@ -36,8 +36,10 @@ from repro.smt.encode import quick_unsupported
 from repro.smt.router import features_of
 from repro.vrm import verify_wdrf
 from repro.vrm.conditions import PassRequest, WDRFCondition
+from repro.vrm.isolation import plan_memory_isolation
 from repro.vrm.verifier import VerifyStats, WDRFSpec
 from repro.vrm.write_once import WriteOnceMonitor
+from tests.test_vrm_isolation_theorem import KDATA, mixed_program
 
 RM_CFG = rm_config(2)
 
@@ -255,6 +257,23 @@ class TestConditionBackend:
         assert not report.all_hold
         assert stats.bmc_passes >= 1
         assert stats.as_dict()["bmc_passes"] == stats.bmc_passes
+        # The memory-isolation pass is planned only beside a user
+        # thread: clean, and with a user store to kernel memory.
+        for user_writes_kernel in (False, True):
+            mixed = WDRFSpec(
+                program=mixed_program(user_writes_kernel=user_writes_kernel)
+            )
+            assert check_program(mixed.program, ("backend",),
+                                 spec=mixed) == []
+            stats = VerifyStats()
+            isolation = verify_wdrf(mixed, collect=stats).results[
+                WDRFCondition.WEAK_MEMORY_ISOLATION
+            ]
+            assert stats.bmc_passes == 2
+            assert (
+                "user CPU 1 wrote kernel location 0x100 (value 0x9)"
+                in isolation.violations
+            ) is user_writes_kernel
 
     def test_check_mode_catches_a_flipped_verdict(self, monkeypatch):
         # A solver that answers "holds" for every condition must be
@@ -291,6 +310,13 @@ class TestConditionBackend:
             if msg.loc == VIOLATING_LOC
         ]
         assert len(hits) == 2  # the double write the solver found
+
+        program = mixed_program(user_writes_kernel=True)
+        monitor = plan_memory_isolation(program).monitor
+        trace = bmc_witness_trace(program, SC_CFG, monitor)
+        assert [(msg.tid, msg.loc) for msg in trace.final_state.memory] == [
+            (1, KDATA),  # the user store the solver found
+        ]
 
     def test_witness_is_none_for_trivial_kinds(self):
         class Trivial:

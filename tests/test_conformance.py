@@ -8,6 +8,7 @@ delta-debugging shrinker (minimality, determinism, budget), and corpus
 persistence/replay.
 """
 
+import functools
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from repro.conformance import (
     check_genome,
     derive_rng,
     engine_fingerprint,
+    fuzz_parallel,
     iter_corpus,
     mutate,
     oracles_for,
@@ -96,11 +98,14 @@ class TestFixedSeedSuite:
         assert report.coverage.states_explored > 0
 
     def test_run_is_deterministic(self):
-        a = run_fuzz(FuzzConfig(seed=7, budget=12))
-        b = run_fuzz(FuzzConfig(seed=7, budget=12))
-        assert a.ok and b.ok
-        assert a.coverage.fingerprint() == b.coverage.fingerprint()
-        assert a.programs == b.programs
+        # The serial loop, and the pool fan-out ``repro fuzz`` takes by
+        # default (all CPUs).
+        for run in (run_fuzz, functools.partial(fuzz_parallel, jobs=2)):
+            a = run(FuzzConfig(seed=7, budget=12))
+            b = run(FuzzConfig(seed=7, budget=12))
+            assert a.ok and b.ok
+            assert a.coverage.fingerprint() == b.coverage.fingerprint()
+            assert a.programs == b.programs == 12
 
     def test_oracle_selection_per_profile(self):
         assert "equivalence" in oracles_for("fenced")

@@ -3,14 +3,11 @@
 :data:`repro.conformance.oracles.ORACLES` is the repository's one
 differential-check mechanism: every optimization (partial-order
 reduction, the certification memo, live-field projection and
-doomed-state pruning, pass fusion, the SAT/BMC backend,
-frontier sharding, the process pool, the VM feature gates) is compared
-with its reference path there.  The fuzzer runs the entries on random
+doomed-state pruning, pass fusion, the SAT/BMC backend, the process
+pool, the VM feature gates) is compared with its reference path there.  The fuzzer runs the entries on random
 genomes; this sweep runs every applicable entry on the litmus catalog
 and the SeKVM KCore wDRF specs.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -29,15 +26,15 @@ from repro.sekvm.ir_programs import kcore_buggy_cases, kcore_verified_cases
 #: litmus test under the test's own SC and relaxed configurations.
 LITMUS_ORACLES = (
     "containment", "axiomatic", "backend", "por", "memo", "reduction",
-    "portability", "vm_neutral", "shard",
+    "portability", "vm_neutral",
 )
 
 #: Oracles that read a wDRF spec, run on every SeKVM KCore case.
-SPEC_ORACLES = ("backend", "monitor", "fuse", "shard")
+SPEC_ORACLES = ("backend", "monitor", "fuse")
 
 #: Every optimization with a reference path has exactly one entry.
 OPTIMIZATION_ORACLES = (
-    "por", "memo", "reduction", "fuse", "backend", "shard", "jobs",
+    "por", "memo", "reduction", "fuse", "backend", "jobs",
     "vm_neutral", "portability",
 )
 
@@ -62,10 +59,6 @@ SWEEP = [("litmus", name) for name in LITMUS_ORACLES] + [
     "corpus,oracle", SWEEP, ids=[f"{c}-{o}" for c, o in SWEEP]
 )
 def test_catalog_sweep(corpus, oracle):
-    if oracle == "shard" and (
-        "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        pytest.skip("frontier sharding requires the fork start method")
     subjects = _litmus_subjects() if corpus == "litmus" else _spec_subjects()
     found = []
     for name, subject in subjects:

@@ -1,14 +1,17 @@
 """The persistent exploration-cache layer: key sensitivity, disk
 round-trips (plain and monitored), and the best-effort degrade paths."""
 
+import json
 import multiprocessing
 import pickle
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.ir import ThreadBuilder, build_program
 from repro.memory import ModelConfig, cached_explore, clear_memory_cache
+from repro.memory import cache as cache_module
 from repro.memory.cache import (
     MonitorPassEntry,
     _disk_load,
@@ -45,6 +48,10 @@ def _serve_disk_on(monkeypatch):
     monkeypatch.delenv("REPRO_EXPLORE_CACHE", raising=False)
     monkeypatch.delenv("REPRO_SERVE_DISK", raising=False)
     assert hot_tier.serve_disk_enabled()
+
+
+def _failing_replace(src, dst):
+    raise OSError("killed before the rename")
 
 
 def _circular_doc():
@@ -216,6 +223,36 @@ class TestCrashSafeDiskStore:
         assert list(isolated_cache.rglob("*.tmp")) == []
         assert list(isolated_cache.rglob("*.json")) == []
 
+    def test_cache_clear_removes_only_cache_files(
+        self, isolated_cache, monkeypatch, capsys
+    ):
+        # ``repro cache clear`` in a directory it shares with foreign
+        # files: entries and orphaned temp files go, the rest stays.
+        _serve_disk_on(monkeypatch)
+        cached_explore(two_thread_program(), ModelConfig(relaxed=True))
+        hot_tier.disk_store("2" * 64, {"verdict": "ok"})
+        with monkeypatch.context() as killed:
+            killed.setattr(cache_module, "_discard", lambda path: None)
+            killed.setattr(cache_module.os, "replace", _failing_replace)
+            _disk_store("3" * 64, "an entry whose writer was killed")
+        assert len(list(isolated_cache.glob("*.tmp"))) == 1
+        foreign = [isolated_cache / name for name in (
+            "BENCHMARK.json", "weights.pkl", "notes.tmp",
+        )] + [isolated_cache / "serve" / "notes.json"]
+        for path in foreign:
+            path.write_text("not a cache file")
+
+        assert main(["cache", "stats", "--json"]) == 0
+        disk = json.loads(capsys.readouterr().out)["disk"]
+        assert disk["engine"]["entries"] == 1
+        assert disk["engine"]["stale_tmp"] == 1
+        assert disk["serve"]["entries"] == 1
+
+        assert main(["cache", "clear"]) == 0
+        assert capsys.readouterr().out.startswith("removed 3 cache file(s)")
+        remaining = {p for p in isolated_cache.rglob("*") if p.is_file()}
+        assert remaining == set(foreign)
+
     def test_concurrent_writers_never_corrupt_a_reader(
         self, isolated_cache
     ):
@@ -249,33 +286,3 @@ class TestCrashSafeDiskStore:
                 proc.join(timeout=10)
         assert _disk_load(key) == result
         assert list(isolated_cache.glob("*.tmp")) == []
-
-
-class TestShardKeyStability:
-    """Frontier sharding (``REPRO_SHARD``) is bit-identical to the
-    serial engine, so it deliberately does NOT participate in the cache
-    key: entries written serially must hit under sharding and vice
-    versa."""
-
-    def test_shard_setting_does_not_change_key(self, monkeypatch):
-        program, cfg = two_thread_program(), ModelConfig(relaxed=True)
-        monkeypatch.delenv("REPRO_SHARD", raising=False)
-        serial_key = exploration_key(program, cfg, None, False, True)
-        monkeypatch.setenv("REPRO_SHARD", "2")
-        assert exploration_key(program, cfg, None, False, True) == serial_key
-
-    def test_warm_serial_cache_hits_under_sharding(
-        self, isolated_cache, monkeypatch
-    ):
-        program, cfg = two_thread_program(), ModelConfig(relaxed=True)
-        monkeypatch.delenv("REPRO_SHARD", raising=False)
-        first = cached_explore(program, cfg)
-        clear_memory_cache()
-
-        def boom(*args, **kwargs):  # a hit must not re-explore
-            raise AssertionError("cache miss: explore() was called")
-
-        monkeypatch.setattr("repro.memory.cache.explore", boom)
-        monkeypatch.setenv("REPRO_SHARD", "2")
-        second = cached_explore(program, cfg)
-        assert second == first

@@ -156,18 +156,14 @@ def _obs_calls(max_promises, sink=None, with_metrics=False):
     """Explore ``promise_heavy`` under ``sys.setprofile`` and count the
     Python calls into functions defined under ``src/repro/obs/``.
 
-    Returns ``(states, calls, names)``: *calls* is kept in shared memory
-    so forked shard workers, which inherit the profile function, add
-    theirs; *names* counts the parent's calls per function.
+    Returns ``(states, calls, names)``: *calls* is the total, *names*
+    counts the calls per function.
     """
-    calls = multiprocessing.Value("q", 0)
     names = collections.Counter()
 
     def probe(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(_OBS_DIR):
             names[frame.f_code.co_name] += 1
-            with calls.get_lock():
-                calls.value += 1
 
     program = catalog.promise_heavy_program()
     cfg = ModelConfig(relaxed=True, max_promises_per_thread=max_promises)
@@ -185,7 +181,7 @@ def _obs_calls(max_promises, sink=None, with_metrics=False):
         tracer.uninstall()
         metrics.disable()
     assert result.complete
-    return result.states_explored, calls.value, names
+    return result.states_explored, sum(names.values()), names
 
 
 class TestFreeWhenOff:
@@ -214,22 +210,6 @@ class TestFreeWhenOff:
         states, calls, names = _obs_calls(3, with_metrics=True)
         assert states > small_states
         assert calls == small > 0, names
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="frontier sharding requires the fork start method",
-    )
-    def test_sharded_exploration_makes_no_obs_call(self, monkeypatch):
-        # The orchestrator's sites (shard_steal, visited_filter_hit, the
-        # shard_explore span) run in this process; the workers' sites
-        # are counted through the shared counter.
-        monkeypatch.setenv("REPRO_SHARD", "2")
-        _, calls, names = _obs_calls(3)
-        assert calls == 0, f"untraced run called into repro.obs: {names}"
-        _, null_calls, null_names = _obs_calls(3, sink=NullSink())
-        parent = sum(null_names.values())
-        assert null_names["begin_span"] > 0 and null_names["emit"] > 0
-        assert null_calls > parent, "the workers' calls were not counted"
 
 
 class TestEventTruth:

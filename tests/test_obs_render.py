@@ -168,7 +168,7 @@ class TestTraceCommand:
             ("containment", "plain", None, "witness: RM-only behavior"),
             # config on a sync genome: the unprotected store panics
             # under the push/pull ownership discipline.
-            ("shard", "sync",
+            ("memo", "sync",
              [[["store", 0, 1]], [["pull", 0, 0], ["load", 0, 0],
                                   ["push", 0, 0]]],
              "push/pull ownership"),

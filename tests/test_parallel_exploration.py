@@ -4,8 +4,6 @@ exploration cache, and the multiprocess harness may change cost, never
 results.  These tests pin that down against the serial unreduced
 baseline."""
 
-import os
-
 import pytest
 
 from repro.conformance.oracles import check_program
@@ -24,11 +22,6 @@ from repro.memory.cache import exploration_key
 from repro.parallel import available_cpus, parallel_map, resolve_jobs
 
 X, Y = 0x10, 0x20
-
-
-def _shard_env_seen_by_worker(_item):
-    """Module-level (picklable) probe of the pool child's environment."""
-    return os.environ.get("REPRO_SHARD")
 
 
 class TestPORCrossCheck:
@@ -139,21 +132,6 @@ class TestParallelHarness:
         calls = []
         assert parallel_map(calls.append, [1, 2, 3], jobs=1) == [None] * 3
         assert calls == [1, 2, 3]
-
-    def test_parallel_map_disables_sharding_in_children_only(
-        self, monkeypatch
-    ):
-        # Pool children must see REPRO_SHARD=0 (they cannot fork shard
-        # workers) while the parent's environment stays untouched — the
-        # knob is pinned by a pool initializer running in the child, not
-        # by mutating the shared environment around the pool.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(4)), raising=False)
-        monkeypatch.setenv("REPRO_SHARD", "4")
-        assert parallel_map(_shard_env_seen_by_worker, [1, 2, 3, 4],
-                            jobs=2) == ["0"] * 4
-        assert os.environ["REPRO_SHARD"] == "4"
 
 
 class TestExplorationCache:
