@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+from repro import config
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
@@ -83,22 +85,16 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_cache_flag(args: argparse.Namespace) -> bool:
-    """Honor ``--no-cache`` / ``--no-memo`` / ``--no-fuse`` /
-    ``--backend`` / ``--model``; returns the ``cache=`` value for
-    libraries."""
-    if getattr(args, "no_memo", False):
-        os.environ["REPRO_CERT_MEMO"] = "0"
-    if getattr(args, "no_fuse", False):
-        os.environ["REPRO_FUSE"] = "0"
-    if getattr(args, "backend", None) is not None:
-        os.environ["REPRO_BACKEND"] = args.backend
-    if getattr(args, "model", None) is not None:
-        os.environ["REPRO_MODEL"] = args.model
-    if getattr(args, "no_cache", False):
-        os.environ["REPRO_EXPLORE_CACHE"] = "0"
-        return False
-    return True
+def _knob_overrides(args: argparse.Namespace) -> Dict[str, object]:
+    """The :mod:`repro.config` knobs ``--no-memo`` / ``--no-fuse`` /
+    ``--no-cache`` / ``--backend`` / ``--model`` set for one command."""
+    return {
+        "cert_memo": False if getattr(args, "no_memo", False) else None,
+        "fuse": False if getattr(args, "no_fuse", False) else None,
+        "explore_cache": False if getattr(args, "no_cache", False) else None,
+        "backend": getattr(args, "backend", None),
+        "model": getattr(args, "model", None),
+    }
 
 
 def _cmd_litmus(args: argparse.Namespace) -> int:
@@ -115,8 +111,7 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
         "paper": paper_examples,
         "all": full_corpus,
     }[args.corpus]()
-    cache = _apply_cache_flag(args)
-    outcomes = run_corpus(corpus, jobs=args.jobs, cache=cache,
+    outcomes = run_corpus(corpus, jobs=args.jobs, cache=not args.no_cache,
                           model=args.model)
     print(corpus_report(outcomes))
     return 0 if all(o.passed for o in outcomes) else 1
@@ -176,7 +171,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_verify_sekvm(args: argparse.Namespace) -> int:
     from repro.sekvm import verify_all_versions, verify_sekvm
 
-    _apply_cache_flag(args)
     if args.all_versions:
         outcomes = verify_all_versions(include_buggy=args.buggy,
                                        jobs=args.jobs)
@@ -263,7 +257,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         run_fuzz,
     )
 
-    _apply_cache_flag(args)
     profiles = tuple(args.profiles.split(",")) if args.profiles else PROFILES
     unknown = [p for p in profiles if p not in PROFILES]
     if unknown:
@@ -398,7 +391,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Explain a counterexample: corpus witness or failing wDRF check."""
     from repro.obs.render import explain_conformance_entry, explain_drf_violation
 
-    _apply_cache_flag(args)
     if args.wdrf:
         case = _find_sekvm_case(args.wdrf)
         spec = case.spec
@@ -451,8 +443,7 @@ def _cmd_portability(args: argparse.Namespace) -> int:
     """Re-verify the corpus under SC, TSO, and Arm; print the matrix."""
     from repro.vrm.portability import build_matrix, render_matrix
 
-    cache = _apply_cache_flag(args)
-    matrix = build_matrix(cache=cache)
+    matrix = build_matrix(cache=not args.no_cache)
     print(render_matrix(matrix))
     if args.output:
         import json
@@ -741,7 +732,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        return _run_with_obs(args)
+        with config.override(**_knob_overrides(args)):
+            return _run_with_obs(args)
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed stdout: stop
         # quietly instead of tracing back, and point stdout at devnull

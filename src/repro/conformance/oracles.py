@@ -84,12 +84,11 @@ shrinker, and the corpus replayer.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.conformance.genome import (
     VM_NEW_VAL,
     VM_PROFILE_FEATURES,
@@ -248,19 +247,6 @@ def vm_neutral_program(program: Program) -> bool:
     return True
 
 
-@contextlib.contextmanager
-def _env(name: str, value: str) -> Iterator[None]:
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
-
-
 def _behaviors_diff(
     label_a: str, a: ExplorationResult, label_b: str, b: ExplorationResult
 ) -> Optional[str]:
@@ -406,7 +392,7 @@ def _backend_verdict_diffs(spec: WDRFSpec) -> List[str]:
     ``REPRO_BMC_DEPTH`` bound explains the solver's modesty.  Evidence
     strings are backend-flavored and intentionally not compared.
     """
-    from repro.smt.backend import bmc_condition_results, bmc_depth
+    from repro.smt.backend import bmc_condition_results
 
     diffs: List[str] = []
     for names, requests in _wdrf_passes(spec):
@@ -419,7 +405,7 @@ def _backend_verdict_diffs(spec: WDRFSpec) -> List[str]:
                                            cache=False)
         except Unsupported:
             continue
-        with _env("REPRO_BACKEND", "explore"):
+        with config.override(backend="explore"):
             explored = dict(zip(names, run_condition_group(spec, names)))
         for name in names:
             if name not in solved:
@@ -430,7 +416,8 @@ def _backend_verdict_diffs(spec: WDRFSpec) -> List[str]:
                     f"{name}: exploration holds={e.holds}, BMC "
                     f"holds={b.holds} (BMC violations: {b.violations!r})"
                 )
-            elif e.exhaustive and not b.exhaustive and bmc_depth() is None:
+            elif (e.exhaustive and not b.exhaustive
+                  and config.get("bmc_depth") is None):
                 diffs.append(
                     f"{name}: exploration exhaustive but full-depth BMC "
                     f"is not"
@@ -534,9 +521,9 @@ def _check_por(subject: Subject) -> List[Disagreement]:
 
 def _check_memo(subject: Subject) -> List[Disagreement]:
     job = (subject.program, subject.rm, subject.observe)
-    with _env("REPRO_CERT_MEMO", "1"):
+    with config.override(cert_memo=True):
         on = _explore_raw(job)
-    with _env("REPRO_CERT_MEMO", "0"):
+    with config.override(cert_memo=False):
         off = _explore_raw(job)
     out: List[Disagreement] = []
     diff = _behaviors_diff("memoized", on, "unmemoized", off)

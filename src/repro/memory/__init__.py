@@ -26,7 +26,6 @@ from repro.memory.semantics import (
     ModelConfig,
     cert_memo_enabled,
     env_model,
-    model_config,
     resolve_model,
 )
 from repro.memory.exploration import explore, explore_or_raise
@@ -71,7 +70,6 @@ __all__ = [
     "ModelConfig",
     "cert_memo_enabled",
     "env_model",
-    "model_config",
     "resolve_model",
     "explore",
     "explore_or_raise",

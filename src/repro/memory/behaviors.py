@@ -53,10 +53,6 @@ class BehaviorComparison:
         return self.rm.behaviors - self.sc.behaviors
 
     @property
-    def sc_only(self) -> FrozenSet[Behavior]:
-        return self.sc.behaviors - self.rm.behaviors
-
-    @property
     def equivalent(self) -> bool:
         """RM ⊆ SC: the guarantee of the wDRF theorem.
 

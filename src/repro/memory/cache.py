@@ -43,6 +43,7 @@ from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
+from repro import config
 from repro.ir.program import Program
 from repro.memory import mutants
 from repro.memory.datatypes import ExplorationMonitor, ExplorationResult
@@ -129,20 +130,17 @@ class BmcEntry(NamedTuple):
 
 def cache_enabled() -> bool:
     """Persistent caching is on unless ``REPRO_EXPLORE_CACHE=0``."""
-    return os.environ.get("REPRO_EXPLORE_CACHE", "1") != "0"
+    return config.get("explore_cache")
 
 
 def memo_enabled() -> bool:
     """The in-process memo is on unless ``REPRO_EXPLORE_MEMO=0``."""
-    return os.environ.get("REPRO_EXPLORE_MEMO", "1") != "0"
+    return config.get("explore_memo")
 
 
 def cache_dir() -> str:
     """Directory holding on-disk exploration results."""
-    configured = os.environ.get("REPRO_EXPLORE_CACHE_DIR")
-    if configured:
-        return configured
-    return os.path.join(
+    return config.get("explore_cache_dir") or os.path.join(
         os.path.expanduser("~"), ".cache", "vrm-repro", "explore"
     )
 
@@ -453,6 +451,54 @@ def clear_memory_cache() -> None:
     _memory_cache.clear()
 
 
+def _lookup(key: str, expect: type) -> Tuple[Optional[object], str]:
+    """``(entry, layer)``: the *expect* entry under *key* from the memo
+    (layer ``memo``), else from disk (``disk``), else ``(None, "")``.
+    Records no lookup and promotes nothing."""
+    if memo_enabled():
+        entry = _memory_cache.get(key)
+        if isinstance(entry, expect):
+            return entry, "memo"
+    if cache_enabled():
+        entry = _disk_load(key, expect)
+        if entry is not None:
+            return entry, "disk"
+    return None, ""
+
+
+def _store(key: str, entry: object) -> None:
+    """Publish *entry* under *key* to the enabled layers."""
+    if memo_enabled():
+        _memory_cache[key] = entry
+    if cache_enabled():
+        _disk_store(key, entry)
+
+
+def _cached(
+    key: str,
+    expect: type,
+    miss_layer: str,
+    compute: Callable[[], object],
+    valid: Callable[[object], bool] = lambda entry: True,
+) -> Tuple[object, bool]:
+    """``(entry, hit)``: memo, then disk, then *compute* and store.
+
+    A disk hit is promoted into the memo; a cached entry failing
+    *valid* is recomputed.  The lookup is recorded under the hit layer,
+    or under *miss_layer* when *compute* ran.
+    """
+    entry, layer = _lookup(key, expect)
+    if entry is not None and valid(entry):
+        _record_lookup(True, layer, key)
+        if layer == "disk" and memo_enabled():
+            _memory_cache[key] = entry
+        return entry, True
+    _record_lookup(False, miss_layer, key)
+    entry = compute()
+    _store(key, entry)
+    return entry, False
+
+
 def cached_explore(
     program: Program,
     cfg: ModelConfig,
@@ -486,24 +532,10 @@ def cached_explore(
     if not cache:
         return explore(program, cfg, observe_locs, keep_terminal_states, por)
     key = exploration_key(program, cfg, observe_locs, keep_terminal_states, por)
-    if memo_enabled():
-        result = _memory_cache.get(key)
-        if isinstance(result, ExplorationResult):
-            _record_lookup(True, "memo", key)
-            return result
-    if cache_enabled():
-        result = _disk_load(key)
-        if result is not None:
-            _record_lookup(True, "disk", key)
-            if memo_enabled():
-                _memory_cache[key] = result
-            return result
-    _record_lookup(False, "explore", key)
-    result = explore(program, cfg, observe_locs, keep_terminal_states, por)
-    if memo_enabled():
-        _memory_cache[key] = result
-    if cache_enabled():
-        _disk_store(key, result)
+    result, _ = _cached(
+        key, ExplorationResult, "explore",
+        lambda: explore(program, cfg, observe_locs, keep_terminal_states, por),
+    )
     return result
 
 
@@ -523,33 +555,23 @@ def _cached_monitor_explore(
     key = monitored_exploration_key(
         program, cfg, observe_locs, por, monitors, monitor_cut
     )
-    entry = _memory_cache.get(key) if memo_enabled() else None
-    hit_layer = "memo" if isinstance(entry, MonitorPassEntry) else None
-    if not isinstance(entry, MonitorPassEntry) and cache_enabled():
-        entry = _disk_load(key, MonitorPassEntry)
-        if isinstance(entry, MonitorPassEntry):
-            hit_layer = "disk"
-    if isinstance(entry, MonitorPassEntry) and len(entry.snapshots) == len(
-        monitors
-    ):
-        _record_lookup(True, hit_layer or "memo", key)
+
+    def compute() -> MonitorPassEntry:
+        result = explore(
+            program, cfg, observe_locs, False, por, monitors, monitor_cut
+        )
+        return MonitorPassEntry(
+            result=result, snapshots=tuple(m.snapshot() for m in monitors)
+        )
+
+    entry, hit = _cached(
+        key, MonitorPassEntry, "monitored", compute,
+        valid=lambda e: len(e.snapshots) == len(monitors),
+    )
+    if hit:
         for monitor, snap in zip(monitors, entry.snapshots):
             monitor.restore(snap)
-        if memo_enabled():
-            _memory_cache[key] = entry
-        return entry.result
-    _record_lookup(False, "monitored", key)
-    result = explore(
-        program, cfg, observe_locs, False, por, monitors, monitor_cut
-    )
-    entry = MonitorPassEntry(
-        result=result, snapshots=tuple(m.snapshot() for m in monitors)
-    )
-    if memo_enabled():
-        _memory_cache[key] = entry
-    if cache_enabled():
-        _disk_store(key, entry)
-    return result
+    return entry.result
 
 
 def bmc_query_key(
@@ -587,26 +609,8 @@ def cached_bmc_query(key: str, compute):
     applies (``REPRO_EXPLORE_MEMO=0`` / ``REPRO_EXPLORE_CACHE=0``
     bypass the respective layer).
     """
-    if memo_enabled():
-        entry = _memory_cache.get(key)
-        if isinstance(entry, BmcEntry):
-            _record_lookup(True, "memo", key)
-            return entry.payload
-    if cache_enabled():
-        entry = _disk_load(key, BmcEntry)
-        if isinstance(entry, BmcEntry):
-            _record_lookup(True, "disk", key)
-            if memo_enabled():
-                _memory_cache[key] = entry
-            return entry.payload
-    _record_lookup(False, "bmc", key)
-    payload = compute()
-    entry = BmcEntry(payload=payload)
-    if memo_enabled():
-        _memory_cache[key] = entry
-    if cache_enabled():
-        _disk_store(key, entry)
-    return payload
+    entry, _ = _cached(key, BmcEntry, "bmc", lambda: BmcEntry(compute()))
+    return entry.payload
 
 
 def peek_exploration_states(
@@ -630,16 +634,8 @@ def peek_exploration_states(
         key = monitored_exploration_key(
             program, cfg, observe_locs, por, list(monitors), monitor_cut
         )
-        entry = _memory_cache.get(key) if memo_enabled() else None
-        if not isinstance(entry, MonitorPassEntry) and cache_enabled():
-            entry = _disk_load(key, MonitorPassEntry)
-        if isinstance(entry, MonitorPassEntry):
-            return entry.result.states_explored
-        return None
+        entry, _ = _lookup(key, MonitorPassEntry)
+        return None if entry is None else entry.result.states_explored
     key = exploration_key(program, cfg, observe_locs, False, por)
-    entry = _memory_cache.get(key) if memo_enabled() else None
-    if not isinstance(entry, ExplorationResult) and cache_enabled():
-        entry = _disk_load(key)
-    if isinstance(entry, ExplorationResult):
-        return entry.states_explored
-    return None
+    entry, _ = _lookup(key, ExplorationResult)
+    return None if entry is None else entry.states_explored

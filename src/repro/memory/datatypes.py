@@ -270,10 +270,6 @@ class ExplorationResult:
     def panic_free(self) -> bool:
         return not self.panics
 
-    def register_outcomes(self) -> FrozenSet[Tuple[Tuple[int, str, int], ...]]:
-        """Just the register components (litmus-test "postconditions")."""
-        return frozenset(b.registers for b in self.behaviors)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         lines = [
             f"{len(self.behaviors)} behaviors "

@@ -42,9 +42,9 @@ first violation instead of exhausting the state space.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import config
 from repro.errors import ExplorationBudgetExceeded
 from repro.ir.program import Program
 from repro.memory.datatypes import (
@@ -79,7 +79,7 @@ from repro.memory.state import (
 
 def por_default_enabled() -> bool:
     """Partial-order reduction is on unless ``REPRO_POR=0``."""
-    return os.environ.get("REPRO_POR", "1") != "0"
+    return config.get("por")
 
 
 def behavior_of(

@@ -106,10 +106,6 @@ def disable(name: str) -> None:
     _active.discard(name)
 
 
-def disable_all() -> None:
-    _active.clear()
-
-
 def enabled(name: str) -> bool:
     """Is the named mutant active?  (The hook-site fast path.)"""
     return name in _active

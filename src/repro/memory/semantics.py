@@ -25,7 +25,6 @@ The functions here generate *all* successor states of a configuration;
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -38,6 +37,7 @@ from typing import (
     Tuple,
 )
 
+from repro import config
 from repro.errors import ExecutionError, ProgramError
 from repro.ir.expr import Expr
 from repro.ir.instructions import (
@@ -143,30 +143,12 @@ TSO = ModelConfig(relaxed=False, tso=True)
 #: TSO behavior of a program is an Arm behavior, and every SC behavior
 #: is a TSO behavior — the containment :mod:`repro.vrm.portability`
 #: certifies.
-MODEL_NAMES: Tuple[str, ...] = ("arm", "tso", "sc")
-
-
-def model_config(name: str) -> ModelConfig:
-    """The shorthand configuration for one :data:`MODEL_NAMES` entry."""
-    if name == "arm":
-        return PROMISING_ARM
-    if name == "tso":
-        return TSO
-    if name == "sc":
-        return SC
-    raise ProgramError(
-        f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}"
-    )
+MODEL_NAMES: Tuple[str, ...] = config.MODEL_NAMES
 
 
 def env_model() -> str:
     """The ``REPRO_MODEL`` environment selection (default ``arm``)."""
-    name = os.environ.get("REPRO_MODEL", "arm").strip() or "arm"
-    if name not in MODEL_NAMES:
-        raise ProgramError(
-            f"unknown REPRO_MODEL {name!r}; known: {', '.join(MODEL_NAMES)}"
-        )
-    return name
+    return config.get("model")
 
 
 def resolve_model(cfg: ModelConfig) -> ModelConfig:
@@ -222,7 +204,8 @@ def resolve_model(cfg: ModelConfig) -> ModelConfig:
 #:   stage-2 translated (one flat stage-2 table indexed by IPA), with
 #:   per-stage TLBI scope (``TLBInvalidate.stage``) raising only the
 #:   matching walker floor.
-VM_FEATURES: Tuple[str, ...] = ("bbm", "had", "stage2", "walk-cache")
+VM_FEATURES: Tuple[str, ...] = config.VM_FEATURES
+parse_vm_features = config.parse_vm_features
 
 #: Hardware-managed attribute bits of a stage-1 leaf entry under ``had``.
 #: They sit far above any address the test corpus uses, so masking them
@@ -230,25 +213,6 @@ VM_FEATURES: Tuple[str, ...] = ("bbm", "had", "stage2", "walk-cache")
 PTE_AF = 1 << 20
 PTE_DIRTY = 1 << 21
 PTE_VALUE_MASK = PTE_AF - 1
-
-
-def parse_vm_features(text: str) -> FrozenSet[str]:
-    """Parse a comma-separated feature list (``all`` enables every one)."""
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if "all" in names:
-        return frozenset(VM_FEATURES)
-    unknown = [n for n in names if n not in VM_FEATURES]
-    if unknown:
-        raise ProgramError(
-            f"unknown VM feature(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(VM_FEATURES)} (or 'all')"
-        )
-    return frozenset(names)
-
-
-def env_vm_features() -> FrozenSet[str]:
-    """The ``REPRO_VM_FEATURES`` environment selection (empty default)."""
-    return parse_vm_features(os.environ.get("REPRO_VM_FEATURES", ""))
 
 
 def resolve_vm_features(cfg: ModelConfig) -> ModelConfig:
@@ -260,7 +224,7 @@ def resolve_vm_features(cfg: ModelConfig) -> ModelConfig:
     """
     if cfg.vm_features:
         return cfg
-    env = env_vm_features()
+    env = config.get("vm_features")
     if env:
         return replace(cfg, vm_features=env)
     return cfg
@@ -466,10 +430,6 @@ def _advance(cache: ProgramCache, tidx: int, ctx: ThreadCtx, pc: int) -> ThreadC
         ctx.vrn, ctx.vwn, ctx.vro, ctx.vwo, ctx.vctrl, ctx.promises,
         ctx.monitor, ctx.wbuf,
     )
-
-
-def _own_promise_ts(ctx: ThreadCtx) -> FrozenSet[int]:
-    return frozenset(ctx.promises)
 
 
 def _read_candidates(
@@ -1481,7 +1441,7 @@ def cert_memo_enabled() -> bool:
     (and cross-check) the engine against its own unoptimized baseline —
     memoization never changes results, only the cost of re-certifying.
     """
-    return os.environ.get("REPRO_CERT_MEMO", "1") != "0"
+    return config.get("cert_memo")
 
 
 class CertMemo:

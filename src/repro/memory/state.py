@@ -15,10 +15,10 @@ the trivially correct hashing/equality of plain tuples.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro import config
 from repro.memory.datatypes import Fault, Message
 
 
@@ -29,7 +29,7 @@ def interning_enabled() -> bool:
     its own unoptimized baseline) — interning never changes results,
     only the cost of duplicate detection.
     """
-    return os.environ.get("REPRO_INTERN", "1") != "0"
+    return config.get("intern")
 
 
 Pairs = Tuple[Tuple, ...]

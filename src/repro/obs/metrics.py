@@ -11,8 +11,7 @@ flag.
 Like the tracer, collection is **off by default** and the hot paths
 never touch the registry per-state — only per-exploration and at other
 cold call sites, each behind :func:`metrics_enabled` (a module-global
-flag, settable by :func:`enable`/:func:`disable` or the
-``REPRO_METRICS=1`` environment knob read at import).
+flag, settable by :func:`enable`/:func:`disable`).
 
 Multiprocess aggregation: :func:`repro.parallel.pool.parallel_map`
 wraps each work item so the child resets its registry before running
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import os
 from typing import Any, Dict, List, Optional
 
 #: Fixed histogram bucket upper bounds (powers of two up to 1M, then
@@ -219,9 +217,9 @@ class MetricsRegistry:
 #: gated by :func:`metrics_enabled`.
 REGISTRY = MetricsRegistry()
 
-#: Collection flag.  Off by default; ``REPRO_METRICS=1`` turns it on at
-#: import, :func:`enable`/:func:`disable` at runtime.
-ENABLED = os.environ.get("REPRO_METRICS", "0") == "1"
+#: Collection flag.  Off by default; :func:`enable`/:func:`disable`
+#: (or the CLI's ``--metrics-out``) switch it at runtime.
+ENABLED = False
 
 
 def registry() -> MetricsRegistry:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import tracer
-
 
 def _thread_index(program, tid: int) -> Optional[int]:
     """Map a CPU id to its index in ``state.threads`` (None if unknown)."""
@@ -437,23 +435,3 @@ def explain_conformance_entry(entry: Dict[str, Any]):
         return None, program, notes
     trace = find_execution(program, PROMISING_ARM, lambda b: b == target)
     return trace, program, notes
-
-
-def explained_certifications(rec: "tracer.RecordingSink") -> Dict[str, int]:
-    """Summarize certification outcomes from a recorded trace.
-
-    Counts the ``promise_certified`` events a traced search emitted:
-    how many candidate promises were considered, certified, and
-    rejected — the search-wide context around the specific promises the
-    rendered execution kept.
-    """
-    considered = rejected = 0
-    for event in rec.by_kind(tracer.PROMISE_CERTIFIED):
-        considered += 1
-        if not event.get("ok"):
-            rejected += 1
-    return {
-        "candidates_considered": considered,
-        "candidates_certified": considered - rejected,
-        "candidates_rejected": rejected,
-    }

@@ -23,6 +23,7 @@ import os
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
+from repro import config
 from repro.memory.cache import (
     cache_dir,
     cache_enabled,
@@ -43,9 +44,7 @@ def serve_disk_enabled() -> bool:
     Follows the engine cache master switch: ``--no-cache`` runs must
     not observe results persisted by earlier runs.
     """
-    if not cache_enabled():
-        return False
-    return os.environ.get("REPRO_SERVE_DISK", "1") != "0"
+    return cache_enabled() and config.get("serve_disk")
 
 
 def disk_load(key: str) -> Optional[Dict[str, Any]]:

@@ -34,6 +34,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.config import BACKENDS
 from repro.memory.cache import cached_explore, exploration_key
 from repro.memory.exploration import por_default_enabled
 
@@ -42,7 +43,6 @@ from repro.memory.exploration import por_default_enabled
 #: thousands of behaviors, and result documents ride the hot tier).
 MAX_BEHAVIORS = 64
 
-_BACKENDS = ("explore", "bmc", "auto")
 _MODELS = ("sc", "tso", "rm")
 
 
@@ -143,9 +143,9 @@ def parse_job(data: Dict[str, Any]) -> Job:
             raise JobError(f"model must be one of {_MODELS!r}, got {model!r}")
         max_promises = int(data.get("max_promises", 2))
         backend = str(data.get("backend", "explore"))
-        if backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise JobError(
-                f"backend must be one of {_BACKENDS!r}, got {backend!r}"
+                f"backend must be one of {BACKENDS!r}, got {backend!r}"
             )
         from repro.conformance.genome import build
 

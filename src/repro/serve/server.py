@@ -32,30 +32,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro import config
 from repro.serve import admission as adm
 from repro.serve import hot_tier as hot
 from repro.serve.jobs import Job, JobError, parse_job
 from repro.serve.workers import make_pool
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -76,15 +62,15 @@ class ServeConfig:
     def from_env(cls, **overrides: Any) -> "ServeConfig":
         """Environment-driven config; keyword overrides win."""
         cfg = cls(
-            host=os.environ.get("REPRO_SERVE_HOST", "127.0.0.1"),
-            port=_env_int("REPRO_SERVE_PORT", 8044),
-            workers=_env_int("REPRO_SERVE_WORKERS", 1),
-            queue_limit=_env_int("REPRO_SERVE_QUEUE", 64),
-            batch=_env_int("REPRO_SERVE_BATCH", 4),
-            hot_entries=_env_int("REPRO_SERVE_HOT_ENTRIES", 1024),
-            hot_mb=_env_float("REPRO_SERVE_HOT_MB", 64.0),
-            tenant_rate=_env_float("REPRO_SERVE_TENANT_RATE", 0.0),
-            tenant_burst=_env_float("REPRO_SERVE_TENANT_BURST", 20.0),
+            host=config.get("serve_host"),
+            port=config.get("serve_port"),
+            workers=config.get("serve_workers"),
+            queue_limit=config.get("serve_queue"),
+            batch=config.get("serve_batch"),
+            hot_entries=config.get("serve_hot_entries"),
+            hot_mb=config.get("serve_hot_mb"),
+            tenant_rate=config.get("serve_tenant_rate"),
+            tenant_burst=config.get("serve_tenant_burst"),
         )
         for name, value in overrides.items():
             setattr(cfg, name, value)

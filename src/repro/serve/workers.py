@@ -36,11 +36,11 @@ process-global and the server thread may be using it).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import config
 from repro.obs import tracer
 
 #: Engine event kinds a worker forwards to SSE subscribers.  Coarse,
@@ -54,15 +54,6 @@ FORWARDED_KINDS = (
     tracer.CACHE_MISS,
     tracer.MONITOR_STOP,
 )
-
-
-def trace_event_cap() -> int:
-    """Per-job cap on forwarded engine events (``REPRO_SERVE_TRACE_EVENTS``)."""
-    raw = os.environ.get("REPRO_SERVE_TRACE_EVENTS", "256")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 256
 
 
 class _ForwardingSink(tracer.TraceSink):
@@ -152,7 +143,7 @@ class WorkerPool:
 
     def start(self) -> None:
         """Fork the workers (call before the event loop opens sockets)."""
-        cap = trace_event_cap()
+        cap = config.get("serve_trace_events")
         self._outbox = self._ctx.Queue()
         for widx in range(self.n_workers):
             inbox = self._ctx.Queue()

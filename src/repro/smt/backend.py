@@ -37,10 +37,10 @@ does.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.errors import VerificationError
 from repro.ir.program import Program
 from repro.memory.cache import bmc_query_key, cached_bmc_query
@@ -58,9 +58,7 @@ __all__ = [
     "BmcStats",
     "bmc_behaviors",
     "bmc_condition_results",
-    "bmc_depth",
     "bmc_explore",
-    "bmc_induction_enabled",
     "bmc_supported",
     "bmc_witness_trace",
 ]
@@ -122,25 +120,6 @@ class BmcStats:
             "conflicts": self.conflicts,
             "propagations": self.propagations,
         }
-
-
-def bmc_depth() -> Optional[int]:
-    """The ``REPRO_BMC_DEPTH`` unrolling bound, or None for full depth."""
-    raw = os.environ.get("REPRO_BMC_DEPTH", "").strip()
-    if not raw:
-        return None
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_BMC_DEPTH must be an integer, got {raw!r}")
-    if depth < 0:
-        raise ValueError("REPRO_BMC_DEPTH must be >= 0")
-    return depth
-
-
-def bmc_induction_enabled() -> bool:
-    """``REPRO_BMC_INDUCTION=1`` extends bounded verdicts to closure."""
-    return os.environ.get("REPRO_BMC_INDUCTION", "0") == "1"
 
 
 def bmc_supported(
@@ -216,7 +195,8 @@ def bmc_behaviors(
     unrolling — a ``REPRO_BMC_DEPTH`` prefix would yield neither an
     under- nor an over-approximation of the behavior set.
     """
-    if bmc_depth() is not None and not _covers_program(program, bmc_depth()):
+    depth = config.get("bmc_depth")
+    if depth is not None and not _covers_program(program, depth):
         raise Unsupported(
             "REPRO_BMC_DEPTH truncates the program; behavior sets need "
             "the full unrolling"
@@ -452,10 +432,10 @@ def bmc_condition_results(
     the check climbs the depth ladder only in induction mode, otherwise
     it reports bounded (non-exhaustive) clean verdicts.
     """
-    depth = bmc_depth()
+    depth = config.get("bmc_depth")
     if depth is None or _covers_program(program, depth):
         depths: List[Optional[int]] = [None]
-    elif bmc_induction_enabled():
+    elif config.get("bmc_induction"):
         diameter = max(
             (len(t.instrs) for t in program.threads), default=0
         )

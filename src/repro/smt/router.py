@@ -24,10 +24,10 @@ the features from a real query.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+from repro import config
 from repro.ir.instructions import Load, Store
 from repro.ir.program import Program
 from repro.memory.cache import peek_exploration_states
@@ -41,8 +41,6 @@ __all__ = [
     "features_of",
     "route",
 ]
-
-_BACKENDS = ("explore", "bmc", "auto")
 
 #: Predicted state count (log10) above which exploration is deemed the
 #: slower backend.  ``test_explosion_spec_features_cross_the_threshold``
@@ -63,12 +61,7 @@ _PROMISE_LOG10 = math.log10(2.0)
 
 def backend_default() -> str:
     """The session backend from ``REPRO_BACKEND`` (default ``explore``)."""
-    value = os.environ.get("REPRO_BACKEND", "explore").strip().lower()
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {_BACKENDS}, got {value!r}"
-        )
-    return value
+    return config.get("backend")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from repro.vrm.conditions import (
 from repro.vrm.drf_kernel import check_drf_kernel, plan_drf_kernel
 from repro.vrm.barrier_misuse import (
     check_no_barrier_misuse,
-    check_no_barrier_misuse_dynamic,
     check_no_barrier_misuse_static,
     plan_no_barrier_misuse,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "check_drf_kernel",
     "plan_drf_kernel",
     "check_no_barrier_misuse",
-    "check_no_barrier_misuse_dynamic",
     "check_no_barrier_misuse_static",
     "plan_no_barrier_misuse",
     "audit_write_log",

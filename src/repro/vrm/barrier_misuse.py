@@ -8,13 +8,14 @@ that protects it.
 
 Two complementary checks implement this:
 
-* **Dynamic** (:func:`check_no_barrier_misuse_dynamic`): explore the
-  instrumented program on the push/pull Promising model; the executor
-  panics on any ``Pull`` whose preceding ``Push`` is not covered by the
-  pulling CPU's barrier frontier — exactly "the pull promise was not
-  fulfilled by a barrier".  This catches missing acquire loads *and*
-  missing release stores (a promoted sync write lands before the push
-  point, so the puller's frontier cannot cover it).
+* **Dynamic** (:func:`plan_no_barrier_misuse`, the pass the verifier
+  runs): explore the instrumented program on the push/pull Promising
+  model; the executor panics on any ``Pull`` whose preceding ``Push``
+  is not covered by the pulling CPU's barrier frontier — exactly "the
+  pull promise was not fulfilled by a barrier".  This catches missing
+  acquire loads *and* missing release stores (a promoted sync write
+  lands before the push point, so the puller's frontier cannot cover
+  it).
 * **Static** (:func:`check_no_barrier_misuse_static`): a structural scan
   that each ``Pull`` is dominated by an acquire (or full barrier) since
   the last synchronization read and each ``Push`` is post-dominated by a
@@ -196,23 +197,6 @@ def plan_no_barrier_misuse(
         cfg=cfg, observe_locs=(),
         monitor=BarrierMisuseMonitor(static=static_result),
     )
-
-
-def check_no_barrier_misuse_dynamic(
-    program: Program,
-    shared_locs: Iterable[int] = (),
-    initial_ownership: Iterable[Tuple[int, int]] = (),
-    **overrides,
-) -> ConditionResult:
-    """Exploration-based check: no pull may outrun its barrier."""
-    plan = plan_no_barrier_misuse(
-        program, shared_locs, initial_ownership, static=False, **overrides
-    )
-    result = cached_explore(
-        program, plan.cfg, observe_locs=list(plan.observe_locs),
-        monitors=[plan.monitor],
-    )
-    return plan.monitor.finalize(result)
 
 
 def check_no_barrier_misuse(

@@ -36,13 +36,12 @@ Two granularities:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
-import os
 import sys
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro import config
 from repro.ir.program import Program
 from repro.litmus.catalog import full_corpus
 from repro.litmus.runner import _admits, litmus_configs, tso_config
@@ -114,19 +113,6 @@ def check_portability(
     return problems
 
 
-@contextlib.contextmanager
-def _repro_model(name: str) -> Iterator[None]:
-    previous = os.environ.get("REPRO_MODEL")
-    os.environ["REPRO_MODEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_MODEL", None)
-        else:
-            os.environ["REPRO_MODEL"] = previous
-
-
 def _litmus_rows(cache: bool) -> List[Dict[str, object]]:
     """One row per catalog test: three verdicts + both inclusions."""
     rows: List[Dict[str, object]] = []
@@ -169,13 +155,12 @@ def _sekvm_rows(cache: bool) -> List[Dict[str, object]]:
     from repro.sekvm.ir_programs import kcore_verified_cases
     from repro.vrm.verifier import verify_wdrf
 
-    if not cache:  # pragma: no cover - matrix CLI always caches
-        os.environ["REPRO_EXPLORE_CACHE"] = "0"
     rows: List[Dict[str, object]] = []
     for case in kcore_verified_cases():
         verified: Dict[str, bool] = {}
         for model in MODEL_ORDER:
-            with _repro_model(model):
+            with config.override(model=model,
+                                 explore_cache=None if cache else False):
                 verified[model] = verify_wdrf(case.spec).all_verified
         rows.append({
             "name": case.name,

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.ir.program import Program
 from repro.memory.cache import (
     cached_explore,
@@ -111,7 +111,7 @@ _NON_EXPLORING: Tuple[str, ...] = ("transactional", "tlb_sequential")
 
 def fuse_default_enabled() -> bool:
     """Pass fusion is on unless ``REPRO_FUSE=0``."""
-    return os.environ.get("REPRO_FUSE", "1") != "0"
+    return config.get("fuse")
 
 
 @dataclass

@@ -353,8 +353,14 @@ class TestRouter:
         assert backend_default() == "explore"
         monkeypatch.setenv("REPRO_BACKEND", "bmc")
         assert backend_default() == "bmc"
+        monkeypatch.setenv("REPRO_BACKEND", "BMC")
+        assert backend_default() == "bmc"
+        monkeypatch.setenv("REPRO_BACKEND", " Auto ")
+        assert backend_default() == "auto"
+        monkeypatch.setenv("REPRO_BACKEND", "")
+        assert backend_default() == "explore"
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
             backend_default()
 
     def test_route_falls_back_outside_the_fragment(self):

@@ -212,3 +212,17 @@ class TestCliDocsConsistency:
         assert not read - documented, (
             f"read under src/ but undocumented: {sorted(read - documented)}"
         )
+
+    def test_only_repro_config_reads_the_environment(self):
+        """Every knob is parsed in ``repro.config``; no other module
+        under ``src/repro`` touches the environment."""
+        offenders = [
+            str(path.relative_to(ROOT))
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            if path != ROOT / "src" / "repro" / "config.py"
+            and re.search(r"os\.(environ|getenv)",
+                          path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, (
+            f"read REPRO_* knobs through repro.config: {offenders}"
+        )

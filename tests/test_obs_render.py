@@ -211,11 +211,7 @@ class TestTraceCommand:
         with pytest.raises(SystemExit):
             run_cli(capsys, "trace", "--wdrf", "definitely-not-a-case")
 
-    def test_litmus_trace_and_metrics_out(self, capsys, tmp_path, monkeypatch):
-        # `--no-cache` sets REPRO_EXPLORE_CACHE=0 process-wide (fine for
-        # a real CLI process); register the key with monkeypatch so the
-        # in-process invocation cannot leak it into later tests.
-        monkeypatch.setenv("REPRO_EXPLORE_CACHE", "1")
+    def test_litmus_trace_and_metrics_out(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
         code, out = run_cli(

@@ -147,6 +147,39 @@ class TestExecuteIdentity:
         assert doc["sc_digest"] != ""
         assert doc["rm_digest"] != ""
 
+    @pytest.mark.parametrize(
+        "case, holds",
+        [("gen_vmid[verified]", True), ("gen_vmid[no-barriers]", False)],
+    )
+    def test_wdrf_matches_direct_call(self, case, holds):
+        """A served wDRF report carries the per-condition verdicts of a
+        direct ``verify_wdrf``, plus a rendered witness when it fails."""
+        from repro.sekvm.ir_programs import (
+            kcore_buggy_cases,
+            kcore_verified_cases,
+        )
+        from repro.vrm.verifier import verify_wdrf
+
+        doc = execute_job(parse_job({"kind": "wdrf", "case": case}).payload)
+        (spec,) = [
+            c.spec for c in kcore_verified_cases() + kcore_buggy_cases()
+            if c.name == case
+        ]
+        direct = verify_wdrf(spec)
+        assert doc["conditions"] == {
+            cond.value: {
+                "holds": res.holds,
+                "exhaustive": res.exhaustive,
+                "violations": list(res.violations),
+            }
+            for cond, res in direct.results.items()
+        }
+        assert doc["all_hold"] is direct.all_hold is holds
+        if holds:
+            assert doc["counterexample"] is None
+        else:
+            assert doc["counterexample"].startswith("wDRF counterexample")
+
 
 # ---------------------------------------------------------------------------
 # hot tier eviction policy
