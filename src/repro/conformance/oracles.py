@@ -34,10 +34,13 @@ bug, never on an expected relaxed-memory effect:
     serial evaluation must each produce bit-identical behavior sets.
 ``reduction``
     The explorer's state-space reductions — live-field projection of
-    the visited key, doomed-state pruning, partial-order reduction and
-    the certification memo — keep the relaxed behavior set: a minimal
-    reference DFS over the bare step relation (exact state keys, every
-    thread scheduled, no memo) must reach exactly the same behaviors.
+    the visited key, doomed-state pruning, await-loop pruning,
+    partial-order reduction and the certification memo — keep the
+    relaxed behavior set: a minimal reference DFS over the bare step
+    relation (exact state keys, every thread scheduled, no memo) must
+    reach exactly the same behaviors.  Given a wDRF spec, the spec's
+    push/pull configuration (the DRF-Kernel pass's model) is compared
+    too.
 ``vm_neutral``
     The relaxed-virtual-memory feature families only change programs
     that use the MMU: an MMU-free program has the same behavior set
@@ -105,6 +108,7 @@ from repro.memory.axiomatic import axiomatic_outcomes, eligible
 from repro.memory.cache import cached_explore
 from repro.memory.datatypes import ExplorationResult
 from repro.memory.exploration import behavior_of, explore
+from repro.memory.pushpull import pushpull_config
 from repro.memory.semantics import (
     PROMISING_ARM,
     PTE_DIRTY,
@@ -613,22 +617,33 @@ def _reference_explore(
 
 
 def _check_reduction(subject: Subject) -> List[Disagreement]:
-    reduced = cached_explore(subject.program, subject.rm,
-                             observe_locs=subject.observe)
-    if not reduced.complete:
-        return []
-    reference = _reference_explore(subject.program, subject.rm,
-                                   subject.observe)
-    if not reference.complete:
-        return []
-    diff = _behaviors_diff("explorer", reduced, "reference", reference)
-    if not diff:
-        return []
-    return [Disagreement(
-        oracle="reduction",
-        detail=f"the explorer's reductions changed the RM behavior set: "
-        f"{diff}",
-    )]
+    models = [("RM", subject.rm)]
+    spec = subject.spec
+    if spec is not None:
+        # The DRF-Kernel passes explore the spec's push/pull model.
+        models.append(("push/pull", pushpull_config(
+            relaxed=True,
+            owned_access_required=spec.shared_locs,
+            initial_ownership=spec.initial_ownership,
+            **spec.overrides(),
+        )))
+    out: List[Disagreement] = []
+    for label, cfg in models:
+        reduced = cached_explore(subject.program, cfg,
+                                 observe_locs=subject.observe)
+        if not reduced.complete:
+            continue
+        reference = _reference_explore(subject.program, cfg, subject.observe)
+        if not reference.complete:
+            continue
+        diff = _behaviors_diff("explorer", reduced, "reference", reference)
+        if diff:
+            out.append(Disagreement(
+                oracle="reduction",
+                detail=f"the explorer's reductions changed the {label} "
+                f"behavior set: {diff}",
+            ))
+    return out
 
 
 def _diff_reports(fused: WDRFReport, unfused: WDRFReport) -> List[str]:

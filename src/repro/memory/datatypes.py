@@ -193,6 +193,10 @@ class EngineStats:
       a thread holds a promise no reachable store can fulfil and no
       ``Panic`` is reachable (see :func:`repro.memory.exploration.
       _drop_doomed`); such states could never reach a valid terminal.
+    * ``await_pruned`` — taken back-edges of pure await loops the
+      explorer dropped (see :func:`repro.memory.exploration.
+      thread_steps`): a failed spin iteration whose thread waits at the
+      loop head instead.
     * ``por_ample_hits`` — states expanded through a single ample thread
       instead of the full scheduler fan-out.
     * ``interner_timelines`` — distinct message timelines hash-consed by
@@ -216,6 +220,7 @@ class EngineStats:
     cert_budget_hits: int = 0
     successors_generated: int = 0
     doomed_pruned: int = 0
+    await_pruned: int = 0
     por_ample_hits: int = 0
     interner_timelines: int = 0
     por_gate_skips: int = 0

@@ -6,15 +6,26 @@ choices, oracle draws, and promise certificates, deduplicating identical
 machine states.  Spin loops terminate the search naturally: spinning
 without observing a new message revisits an identical state.
 
-Two engine-level optimizations keep the search tractable at corpus
-scale, both behavior-preserving:
+Engine-level reductions keep the search tractable at corpus scale, all
+behavior-preserving and all checked against an unreduced reference
+search by the ``reduction`` conformance oracle
+(:mod:`repro.conformance.oracles`):
 
-* **Partial-order reduction** (:mod:`repro.memory.por`): when the
-  program passes the static soundness gate, threads whose next step
-  commutes exactly with every other thread's steps are scheduled
-  exclusively, skipping redundant interleavings.  ``REPRO_POR=0``
-  disables the reduction; the ``por`` conformance oracle
-  (:mod:`repro.conformance.oracles`) checks both ways agree.
+* **Partial-order reduction** (:mod:`repro.memory.por`): a thread at a
+  local step (``Label``/``Nop``/``Mov``/forward ``Jump`` or branch) is
+  scheduled alone on every program outside TSO, subject to a cycle
+  proviso and a panic gate; on programs passing
+  :func:`~repro.memory.por.por_eligible`, so is a thread loading a
+  location no other thread can still write.  ``REPRO_POR=0`` disables
+  the reduction; the ``por`` oracle checks both ways agree.
+* **Await-loop pruning** (:func:`thread_steps`): the taken back-edge of
+  a pure await loop (:meth:`~repro.memory.semantics.ProgramCache.
+  await_backedges`, e.g. a ticket-lock spin) is dropped, so a failed
+  spin iteration never becomes a state of its own; the thread waits at
+  the loop head instead.
+* **Doomed-state pruning** (:func:`_drop_doomed`): under Arm, successors
+  in which a thread holds a promise no reachable store can fulfil are
+  dropped.
 * **Canonical state interning** (:class:`repro.memory.state.StateInterner`):
   the visited set stores compact hash-consed keys instead of deep nested
   tuples, so duplicate detection costs O(changed components) per
@@ -42,7 +53,7 @@ first violation instead of exhausting the state space.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import config
 from repro.errors import ExplorationBudgetExceeded
@@ -119,17 +130,21 @@ def _successors(
     cfg: ModelConfig,
     memo: CertMemo,
     plan,
+    awaits,
     stats: EngineStats,
     sink,
 ) -> List[ExecState]:
     """Expand one non-terminal state: the full scheduler/promise fan-out,
-    or the single ample thread when the POR plan offers one."""
+    or the single ample thread when the POR plan offers one.  *awaits*
+    is the exploration's await-loop table (see :func:`thread_steps`)."""
     successors: Optional[List[ExecState]] = None
     if plan is not None:
         ample = plan.ample_thread(cache, state, stats=stats)
         if ample is not None:
             if sink is not None:
                 sink.emit(tracer.POR_AMPLE, thread=ample)
+            # Never an await back-edge: the cycle proviso keeps backward
+            # branches out of the ample set.
             successors = execute_instruction(cache, state, ample, cfg)
             if not successors:
                 successors = None  # blocked: fall back to full expansion
@@ -146,13 +161,47 @@ def _successors(
                 successors.extend(tso_flush_steps(cache, state, tidx, cfg))
             if threads[tidx].halted:
                 continue  # fast path: no steps, no promises
-            successors.extend(execute_instruction(cache, state, tidx, cfg))
+            successors.extend(
+                thread_steps(cache, state, tidx, cfg, awaits, stats)
+            )
             if relaxed:
                 successors.extend(promise_steps(cache, state, tidx, cfg, memo))
     if cfg.relaxed and not cfg.pushpull and successors:
         successors = _drop_doomed(cache.doomed_tables(), successors, stats)
     stats.successors_generated += len(successors)
     return successors
+
+
+def thread_steps(
+    cache: ProgramCache,
+    state: ExecState,
+    tidx: int,
+    cfg: ModelConfig,
+    awaits: Optional[Tuple[Dict[int, int], ...]],
+    stats: Optional[EngineStats] = None,
+) -> List[ExecState]:
+    """Thread *tidx*'s instruction steps, minus the taken back-edge of a
+    pure await loop (*awaits* is
+    :meth:`~repro.memory.semantics.ProgramCache.await_backedges`).
+
+    A failed iteration of such a loop changes only registers the next
+    iteration overwrites and the thread's views, and views only restrict
+    what the thread may later read, how low its stores may land and
+    which promises it can certify.  So every execution with failed
+    iterations has a counterpart in which the thread waits at the loop
+    head instead, reaching the same behavior; dropping the back-edge
+    keeps the behavior set exact.  A thread whose only step was dropped
+    is blocked: its state has no successor, like a spin that revisits
+    itself.  Each drop counts in ``stats.await_pruned``.
+    """
+    steps = execute_instruction(cache, state, tidx, cfg)
+    if awaits is not None and steps:
+        head = awaits[tidx].get(state.threads[tidx].pc)
+        if head is not None and steps[0].threads[tidx].pc == head:
+            if stats is not None:
+                stats.await_pruned += 1
+            return []
+    return steps
 
 
 def _drop_doomed(
@@ -234,8 +283,9 @@ def explore(
     monitor's counters freeze at its stop point either way, so verdicts
     are bit-identical in both modes.
     ``por`` overrides the partial-order-reduction default (``REPRO_POR``);
-    reduction only ever engages on programs passing the soundness gate,
-    so behavior sets are identical either way.
+    the reduction is exact (its load pass engages only on programs
+    passing the soundness gate), so behavior sets are identical either
+    way.
     """
     cfg = resolve_model(resolve_vm_features(cfg))
     if por is None:
@@ -277,10 +327,12 @@ def _explore(
     if por:
         if por_worthwhile(program, cfg):
             plan = PORPlan(cache, cfg)
-            if not plan.eligible:
+            if not plan.useful:
                 plan = None
         else:
             stats.por_gate_skips += 1
+
+    awaits = cache.await_backedges(cfg.pushpull)
 
     active: List[ExplorationMonitor] = [
         m for m in (monitors or ()) if not m.stopped
@@ -334,7 +386,9 @@ def _explore(
                         break
             continue
 
-        successors = _successors(cache, state, cfg, memo, plan, stats, sink)
+        successors = _successors(
+            cache, state, cfg, memo, plan, awaits, stats, sink
+        )
 
         if not successors:
             # Deadlock: some thread blocked forever (e.g. an RMW stuck

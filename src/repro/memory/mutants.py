@@ -65,6 +65,22 @@ mutant is active:
   Killed by the ``reduction`` oracle, whose reference DFS prunes
   nothing.
 
+* ``await-loop-carried`` —
+  :meth:`repro.memory.semantics.ProgramCache.await_backedges` stops
+  checking for loop-carried registers and accepts stores in the loop
+  body, so the explorer drops the back-edge of a pointer-chasing loop
+  (``L: r := [r]; bnz r, L``) whose next iteration would read a new
+  location: the behavior reached after the second iteration vanishes.
+  Killed by the ``reduction`` oracle on a pinned pointer-chasing program.
+* ``ample-ignores-panic`` — :class:`repro.memory.por.PORPlan` drops the
+  panic gate of its local-step pass, scheduling a ``Mov`` into an
+  observed register alone although another thread can panic first:
+  with T0 ``mov r0 := 1`` beside T1 ``panic``, the panic behavior with
+  ``r0`` unset disappears.  Killed by the ``por`` oracle.  Fuzz genomes
+  have no branches, ``Mov`` instructions or panics, so both kills are direct
+  :func:`~repro.conformance.oracles.check_program` tests rather than
+  fuzzing-matrix rows.
+
 Active mutants are part of every exploration cache key (see
 :func:`repro.memory.cache.exploration_key`), so a mutated engine can
 never poison — or be masked by — results cached from the honest one.
@@ -88,6 +104,8 @@ KNOWN_MUTANTS: Tuple[str, ...] = (
     "lost-flush",
     "read-skips-own-buffer",
     "doomed-skips-current-store",
+    "await-loop-carried",
+    "ample-ignores-panic",
 )
 
 _active: Set[str] = set()

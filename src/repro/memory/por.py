@@ -12,7 +12,13 @@ Promising model:
    ``Jump``/conditional branches read and write only the acting thread's
    context.  They never append to the timeline, can never be disabled,
    and are deterministic, so a thread whose next instruction is local can
-   be scheduled *exclusively* without losing any state.
+   be scheduled *exclusively* without losing any state — on any program.
+   Two exceptions, read from a per-``(tidx, pc)`` table built once per
+   exploration: a backward ``Jump`` or branch is never ample (the cycle
+   proviso: a loop of local steps must not starve the other threads),
+   and a ``Mov`` into an observed register is ample only while no other
+   thread can panic, since a panic reached before it would freeze the
+   old value.  Under TSO the pass is off.
 
 2. **Reads of quiescent locations commute with everything.**  A plain
    ``Load`` of a location that no *other* thread can ever write again
@@ -23,23 +29,21 @@ Promising model:
    reachable terminal states.
 
 Both facts are *state-level* commutations (not merely behavioral), so
-the reduced search reaches the identical set of terminal machine states,
-and therefore the identical behavior set, bit for bit.
+the reduced search reaches the same terminal behaviors.
 
 Soundness gate
 --------------
 
-The commutation arguments above break in the presence of global side
-channels: panics freeze the whole machine (making local steps
-observable), barriers and acquire/release accesses couple thread views
-to global timestamps, RMWs both read and write, page-table stores and
-TLB invalidations feed the walker floor, and push/pull transfers
-ownership between threads.  :func:`por_eligible` therefore admits only
-programs built from plain loads, plain stores, and local control flow,
-run without the push/pull discipline; everything else falls back to the
-full (unreduced) exploration.  The ``por`` conformance oracle
-(:mod:`repro.conformance.oracles`) runs both searches and asserts the
-behavior sets coincide.
+Fact 2 breaks in the presence of global side channels: panics freeze
+the whole machine, barriers and acquire/release accesses couple thread
+views to global timestamps, RMWs both read and write, page-table stores
+and TLB invalidations feed the walker floor, and push/pull transfers
+ownership between threads.  :func:`por_eligible` therefore admits to
+pass 2 only programs built from plain loads, plain stores, and local
+control flow, run without the push/pull discipline.  The ``por``
+conformance oracle (:mod:`repro.conformance.oracles`) runs both
+searches and asserts the behavior sets coincide; the ``reduction``
+oracle compares with a reference search that reduces nothing.
 """
 
 from __future__ import annotations
@@ -175,26 +179,105 @@ def _store_footprints(thread: Thread, labels: Dict[str, int]) -> List[Footprint]
     return reach
 
 
-class PORPlan:
-    """Per-exploration reduction plan: the eligibility verdict plus the
-    precomputed per-(thread, pc) store footprints."""
+#: :attr:`PORPlan.local` codes, one per ``(tidx, pc)``.
+NOT_AMPLE, AMPLE, AMPLE_UNLESS_PANIC = 0, 1, 2
 
-    __slots__ = ("eligible", "footprints", "_thread_lens")
+
+def _local_codes(cache, tidx: int, cfg) -> Tuple[int, ...]:
+    """Pass-1 table of thread *tidx*: may its step at each pc (the
+    thread length is the halt step) be scheduled alone?
+
+    A backward ``Jump`` or branch never is (the cycle proviso: a loop of
+    local steps must not starve the other threads), and a ``Mov`` into an
+    observed register is only while no other thread can panic — a panic
+    reached before the ``Mov`` freezes a different register value.
+    Under push/pull every kernel access can panic, so such a ``Mov``
+    never is.
+    """
+    thread = cache.threads[tidx]
+    labels = cache.labels[tidx]
+    codes = []
+    for pc, instr in enumerate(thread.instrs):
+        if isinstance(instr, (Jump, BranchIfZero, BranchIfNonZero)):
+            code = AMPLE if labels.get(instr.target, -1) > pc else NOT_AMPLE
+        elif isinstance(instr, Mov) and instr.dst in thread.observed:
+            if cfg.pushpull:
+                code = NOT_AMPLE
+            elif mutants.enabled("ample-ignores-panic"):  # seeded bug
+                code = AMPLE
+            else:
+                code = AMPLE_UNLESS_PANIC
+        elif isinstance(instr, LOCAL_INSTRS):
+            code = AMPLE
+        else:
+            code = NOT_AMPLE
+        codes.append(code)
+    codes.append(AMPLE)  # the halt step
+    return tuple(codes)
+
+
+class PORPlan:
+    """Per-exploration reduction plan.
+
+    Pass 1 (a thread at a local step runs alone) applies to every
+    program outside TSO through the per-``(tidx, pc)`` table ``local``
+    (None under TSO, or when no pc of any thread qualifies); pass 2
+    (quiescent loads) only to :func:`por_eligible` programs, through the
+    precomputed store ``footprints``.  ``useful`` is False when neither
+    pass can ever fire, so the explorer can drop the plan.
+    """
+
+    __slots__ = ("eligible", "footprints", "local", "panicky", "_thread_lens")
 
     def __init__(self, cache, cfg):
         self.eligible = por_eligible(cache.program, cfg)
         self.footprints: List[List[Footprint]] = []
-        self._thread_lens: List[int] = []
+        self._thread_lens: List[int] = [
+            len(thread.instrs) for thread in cache.threads
+        ]
         if self.eligible:
             for tidx, thread in enumerate(cache.threads):
                 self.footprints.append(
                     _store_footprints(thread, cache.labels[tidx])
                 )
-                self._thread_lens.append(len(thread.instrs))
+        self.local: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self.panicky = None
+        if not cfg.tso:
+            local = tuple(
+                _local_codes(cache, tidx, cfg)
+                for tidx in range(len(cache.threads))
+            )
+            if any(AMPLE_UNLESS_PANIC in codes for codes in local):
+                self.panicky = cache.panic_table()
+                if self.panicky is None:  # nothing can panic
+                    local = tuple(
+                        tuple(AMPLE if c == AMPLE_UNLESS_PANIC else c
+                              for c in codes)
+                        for codes in local
+                    )
+            # Only an empty thread ever stands at its halt entry: the step
+            # that takes any other thread to its length halts it.
+            if any(
+                len(codes) == 1
+                or any(code != NOT_AMPLE for code in codes[:-1])
+                for codes in local
+            ):
+                self.local = local
+
+    @property
+    def useful(self) -> bool:
+        return self.eligible or self.local is not None
 
     def _may_write(self, tidx: int, pc: int, loc: int) -> bool:
         fp = self.footprints[tidx][min(pc, self._thread_lens[tidx])]
         return fp is TOP or loc in fp
+
+    def _no_other_panic(self, threads, tidx: int) -> bool:
+        panicky = self.panicky
+        return not any(
+            not ctx.halted and panicky[other][ctx.pc]
+            for other, ctx in enumerate(threads) if other != tidx
+        )
 
     def ample_thread(self, cache, state, stats=None) -> Optional[int]:
         """A thread index safe to schedule exclusively at *state*, or
@@ -205,25 +288,27 @@ class PORPlan:
         passes the exploration's :class:`~repro.memory.datatypes.
         EngineStats`, every ample selection bumps ``por_ample_hits``.
         """
+        threads = state.threads
+        # Pass 1: a thread at a local (context-only) step.
+        local = self.local
+        if local is not None:
+            for tidx, ctx in enumerate(threads):
+                if ctx.halted:
+                    continue
+                code = local[tidx][ctx.pc]
+                if code == AMPLE or (
+                    code == AMPLE_UNLESS_PANIC
+                    and self._no_other_panic(threads, tidx)
+                ):
+                    if stats is not None:
+                        stats.por_ample_hits += 1
+                    return tidx
         if not self.eligible:
             return None
-        threads = state.threads
-        # Pass 1: a thread at a local (context-only) instruction.
-        for tidx, ctx in enumerate(threads):
-            if ctx.halted:
-                continue
-            if ctx.pc >= self._thread_lens[tidx]:
-                if stats is not None:
-                    stats.por_ample_hits += 1
-                return tidx  # halt-normalization step: local by nature
-            if isinstance(cache.instr_at(tidx, ctx.pc), LOCAL_INSTRS):
-                if stats is not None:
-                    stats.por_ample_hits += 1
-                return tidx
         # Pass 2: a thread loading a location no other thread can still
         # write, with no stores (hence no promise steps) of its own left.
         for tidx, ctx in enumerate(threads):
-            if ctx.halted:
+            if ctx.halted or ctx.pc >= self._thread_lens[tidx]:
                 continue
             instr = cache.instr_at(tidx, ctx.pc)
             if not isinstance(instr, Load):

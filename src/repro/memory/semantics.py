@@ -244,6 +244,8 @@ class ProgramCache:
         self._panicky: List[Optional[List[bool]]] = [None] * n
         self._succs: List[Optional[List[Tuple[int, ...]]]] = [None] * n
         self._doomed: Optional[Tuple] = None
+        self._panic_table: object = False  # not built yet
+        self._awaits: Dict[bool, Optional[Tuple[Dict[int, int], ...]]] = {}
 
     def init_value(self, loc: int) -> int:
         return self.initial_memory.get(loc, 0)
@@ -334,19 +336,98 @@ class ProgramCache:
                 tidx for tidx in range(n_threads)
                 if self.promisable_from(tidx, 0)
             )
-            panicky = None
+            self._doomed = (holders, stuck, self.panic_table())
+        return self._doomed
+
+    def panic_table(self) -> Optional[Tuple[Tuple[bool, ...], ...]]:
+        """``[tidx][pc]``: can a ``Panic`` still execute from *pc* (the
+        thread length, halted, cannot)?  None when no thread can reach
+        one.  Built once."""
+        if self._panic_table is False:
+            n_threads = len(self.threads)
+            table = None
             if any(
                 self.panic_reachable_from(tidx, 0) for tidx in range(n_threads)
             ):
-                panicky = tuple(
+                table = tuple(
                     tuple(
                         self.panic_reachable_from(tidx, pc)
                         for pc in range(self.thread_len(tidx) + 1)
                     )
                     for tidx in range(n_threads)
                 )
-            self._doomed = (holders, stuck, panicky)
-        return self._doomed
+            self._panic_table = table
+        return self._panic_table
+
+    def await_backedges(
+        self, pushpull: bool = False
+    ) -> Optional[Tuple[Dict[int, int], ...]]:
+        """Per thread, ``{branch pc: loop head pc}`` for every backward
+        ``BranchIfZero``/``BranchIfNonZero`` that closes a *pure await
+        loop*; None when no thread has one.  Built once per flag.
+
+        A loop ``[head, branch]`` is pure when its body ``[head,
+        branch)`` is entered only at ``head`` and holds only ``Label``,
+        ``Nop``, ``Mov`` and ``Load`` (plain or acquire), and has no
+        loop-carried register: every register the body reads is either
+        never written in the body or written earlier in the same
+        iteration (the branch condition runs after the whole body, so it
+        always sees the current iteration).  A failed iteration then
+        changes only registers the next iteration overwrites and the
+        thread's views, which only restrict later steps, so the explorer
+        may drop the taken back-edge and let the thread wait at the head
+        instead (:func:`repro.memory.exploration.thread_steps`).
+
+        Two more conditions keep panic behaviors exact.  A panic freezes
+        a thread mid-iteration, with the registers the iteration has not
+        rewritten yet still holding the previous iteration's values:
+        so the body writes at most one observed register unless no other
+        thread can panic, and under push/pull (*pushpull*) no body
+        ``Load`` of a kernel thread may touch kernel memory, whose
+        ownership check could panic a later iteration.
+        """
+        key = bool(pushpull)
+        if key not in self._awaits:
+            tables = tuple(
+                self._await_loops(tidx, key) for tidx in range(len(self.threads))
+            )
+            self._awaits[key] = tables if any(tables) else None
+        return self._awaits[key]
+
+    def _await_loops(self, tidx: int, pushpull: bool) -> Dict[int, int]:
+        thread = self.threads[tidx]
+        instrs = thread.instrs
+        labels = self.labels[tidx]
+        backward = [
+            (pc, labels[instr.target]) for pc, instr in enumerate(instrs)
+            if isinstance(instr, (BranchIfZero, BranchIfNonZero))
+            and labels.get(instr.target, pc + 1) < pc
+        ]
+        if not backward:
+            return {}
+        targets = {
+            labels[instr.target] for instr in instrs
+            if isinstance(instr, (Jump, BranchIfZero, BranchIfNonZero))
+            and instr.target in labels
+        }
+        loops: Dict[int, int] = {}
+        for pc, head in backward:
+            if any(entry in targets for entry in range(head + 1, pc)):
+                continue  # a second entry into the body
+            body = instrs[head:pc]
+            kernel_loads_panic = pushpull and thread.is_kernel
+            written = _await_body_writes(body, kernel_loads_panic)
+            if written is None:
+                continue
+            if len(written.intersection(thread.observed)) > 1 and (
+                pushpull or any(
+                    self.panic_reachable_from(other, 0)
+                    for other in range(len(self.threads)) if other != tidx
+                )
+            ):
+                continue
+            loops[pc] = head
+        return loops
 
     def control_successors(self, tidx: int) -> List[Tuple[int, ...]]:
         """Static control-flow successors of every pc of thread *tidx*.
@@ -404,6 +485,42 @@ def _is_plain_store(instr: Instruction) -> bool:
 
 def _may_fulfil(instr: Instruction) -> bool:
     return _is_plain_store(instr) or isinstance(instr, VStore)
+
+
+def _await_body_writes(
+    body: Sequence[Instruction], kernel_loads_panic: bool
+) -> Optional[set]:
+    """The registers a pure await-loop *body* writes, or None when the
+    body is not pure (see :meth:`ProgramCache.await_backedges`).
+
+    *kernel_loads_panic* rejects a ``Load`` of kernel memory, whose
+    push/pull ownership check can panic.
+    """
+    # Seeded bug: accept stores and loop-carried registers.
+    sloppy = mutants.enabled("await-loop-carried")
+    body_writes = {
+        instr.dst for instr in body if isinstance(instr, (Mov, Load))
+    }
+    written: set = set()
+    for instr in body:
+        if isinstance(instr, (Label, Nop)):
+            continue
+        if isinstance(instr, Mov):
+            reads = instr.src.registers()
+        elif isinstance(instr, Load):
+            if kernel_loads_panic and instr.space is MemSpace.KERNEL:
+                return None
+            reads = instr.addr.registers()
+        elif sloppy and isinstance(instr, Store):
+            continue
+        else:
+            return None
+        if not sloppy and any(
+            reg in body_writes and reg not in written for reg in reads
+        ):
+            return None  # loop-carried
+        written.add(instr.dst)
+    return written
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 from repro.ir.program import Program
 from repro.memory.behaviors import admits
 from repro.memory.datatypes import Behavior
-from repro.memory.exploration import _is_terminal, _is_valid_terminal, behavior_of
+from repro.memory.exploration import (
+    _is_terminal,
+    _is_valid_terminal,
+    behavior_of,
+    thread_steps,
+)
 from repro.memory.semantics import (
     CertMemo,
     ModelConfig,
     ProgramCache,
-    execute_instruction,
     promise_steps,
     resolve_model,
     resolve_vm_features,
@@ -179,6 +183,9 @@ def find_execution(
     visited: Set[ExecState] = {start}
     budget = cfg.max_states
     memo = CertMemo()  # share certification work across the traced search
+    # Witnesses skip failed iterations of pure await loops, as the
+    # explorer does.
+    awaits = cache.await_backedges(cfg.pushpull)
 
     while stack and budget > 0:
         state, path, states = stack.pop()
@@ -203,7 +210,7 @@ def find_execution(
                     visited.add(succ)
                     event = _diff_event(cache, state, succ, tidx)
                     stack.append((succ, path + (event,), states + (succ,)))
-            for succ in execute_instruction(cache, state, tidx, cfg):
+            for succ in thread_steps(cache, state, tidx, cfg, awaits):
                 if succ not in visited and len(succ.memory) <= cfg.max_memory:
                     visited.add(succ)
                     event = _diff_event(cache, state, succ, tidx)

@@ -2,11 +2,13 @@
 
 :data:`repro.conformance.oracles.ORACLES` is the repository's one
 differential-check mechanism: every optimization (partial-order
-reduction, the certification memo, live-field projection and
-doomed-state pruning, pass fusion, the SAT/BMC backend, the process
-pool, the VM feature gates) is compared with its reference path there.  The fuzzer runs the entries on random
-genomes; this sweep runs every applicable entry on the litmus catalog
-and the SeKVM KCore wDRF specs.
+reduction, the certification memo, live-field projection,
+doomed-state and await-loop pruning, pass fusion, the SAT/BMC backend,
+the process pool, the VM feature gates) is compared with its reference
+path there.  The fuzzer runs the entries on random genomes; this sweep
+runs every applicable entry on the litmus catalog and the SeKVM KCore
+wDRF specs (``reduction`` there also under each spec's push/pull
+configuration).
 """
 
 import pytest
@@ -30,7 +32,7 @@ LITMUS_ORACLES = (
 )
 
 #: Oracles that read a wDRF spec, run on every SeKVM KCore case.
-SPEC_ORACLES = ("backend", "monitor", "fuse")
+SPEC_ORACLES = ("backend", "monitor", "fuse", "reduction")
 
 #: Every optimization with a reference path has exactly one entry.
 OPTIMIZATION_ORACLES = (

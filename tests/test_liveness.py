@@ -32,6 +32,7 @@ from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
 from repro.ir.expr import Reg
 from repro.ir.program import MMUConfig
+from repro.litmus import catalog
 from repro.litmus.catalog import full_corpus, promise_heavy_program
 from repro.litmus.runner import litmus_configs
 from repro.memory import liveness, semantics
@@ -395,6 +396,22 @@ class TestMerging:
         assert {(b.registers, b.memory) for b in result.behaviors} == {
             (b.registers, b.memory) for b in solved
         }
+
+    @pytest.mark.parametrize("correct,states,pruned,ample", [
+        (False, 25_057, 1_880, 11_372),
+        (True, 2_003, 350, 904),
+    ], ids=["buggy", "fixed"])
+    def test_gen_vmid_counts(self, correct, states, pruned, ample):
+        """Await-loop pruning and local-step POR take ``gen_vmid``'s
+        Arm exploration from 51,421 states (buggy) and 4,583 (fixed)
+        to these exact counts."""
+        test = catalog.example2(correct)
+        _sc, rm = litmus_configs(test)
+        result = explore(test.program, rm, por=True)
+        assert result.complete
+        assert result.states_explored == states
+        assert result.stats.await_pruned == pruned
+        assert result.stats.por_ample_hits == ample
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,35 @@ class TestTSOPortabilityKills:
         assert any("TSO ⊄ ARM" in p for p in problems)
 
 
+class TestReductionGateKills:
+    """Fuzz genomes have no branches, ``Mov`` instructions or panics, so
+    the two reduction-gate mutants are killed on pinned programs."""
+
+    def test_await_loop_carried_is_killed_by_reduction(self):
+        from tests.test_await_reduction import pointer_chasing_program
+
+        program = pointer_chasing_program()
+        assert check_program(program, ("reduction",)) == []
+        with mutants.seeded("await-loop-carried"):
+            found = check_program(program, ("reduction",))
+        assert [d.oracle for d in found] == ["reduction"], found
+        assert "reference-only: {t0.r=0;" in found[0].detail
+
+    def test_ample_ignores_panic_is_killed_by_por(self):
+        from repro.ir import ThreadBuilder, build_program
+
+        t0 = ThreadBuilder(0)
+        t0.mov("r0", 1)
+        t1 = ThreadBuilder(1)
+        t1.panic("boom")
+        program = build_program([t0, t1], observed={0: ["r0"]})
+        assert check_program(program, ("por",)) == []
+        with mutants.seeded("ample-ignores-panic"):
+            found = check_program(program, ("por",))
+        assert [d.oracle for d in found] == ["por"], found
+        assert "unreduced-only: {t0.r0=None; PANIC(boom)}" in found[0].detail
+
+
 class TestTSOCrossCheck:
     """The ``portability`` conformance oracle re-derives the SC, TSO
     and Arm behavior sets of a program and reports when the sandwich
