@@ -33,12 +33,11 @@ bug, never on an expected relaxed-memory effect:
     also explore the same number of states), and process-pool vs.
     serial evaluation must each produce bit-identical behavior sets.
 ``reduction``
-    The explorer's state-space reductions — live-field projection of
-    the visited key, doomed-state pruning, await-loop pruning,
-    partial-order reduction and the certification memo — keep the
-    relaxed behavior set: a minimal reference DFS over the bare step
-    relation (exact state keys, every thread scheduled, no memo) must
-    reach exactly the same behaviors.  Given a wDRF spec, the spec's
+    The explorer's state-space reductions — doomed-state pruning,
+    await-loop pruning, partial-order reduction and the certification
+    memo — keep the relaxed behavior set: a minimal reference DFS over
+    the bare step relation (every thread scheduled, nothing pruned, no
+    memo) must reach exactly the same behaviors.  Given a wDRF spec, the spec's
     push/pull configuration (the DRF-Kernel pass's model) is compared
     too.
 ``vm_neutral``

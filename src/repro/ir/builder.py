@@ -323,9 +323,6 @@ class ThreadBuilder:
         """
         return _IfContext(self, coerce(a) - coerce(b), invert=True)
 
-    def if_ne(self, a: ExprLike, b: ExprLike) -> "_IfContext":
-        return _IfContext(self, coerce(a) - coerce(b), invert=False)
-
 
 class _IfContext:
     """Context manager emitting branch/label scaffolding for an if-block."""

@@ -30,7 +30,7 @@ from repro.memory.semantics import (
 )
 from repro.memory.exploration import explore, explore_or_raise
 from repro.memory.cache import cached_explore, clear_memory_cache
-from repro.memory.por import PORPlan, por_eligible, por_worthwhile
+from repro.memory.por import PORPlan, por_worthwhile
 from repro.memory.state import StateInterner
 from repro.memory.behaviors import (
     BehaviorComparison,
@@ -76,7 +76,6 @@ __all__ = [
     "cached_explore",
     "clear_memory_cache",
     "PORPlan",
-    "por_eligible",
     "por_worthwhile",
     "StateInterner",
     "BehaviorComparison",

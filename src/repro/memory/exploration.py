@@ -14,10 +14,8 @@ search by the ``reduction`` conformance oracle
 * **Partial-order reduction** (:mod:`repro.memory.por`): a thread at a
   local step (``Label``/``Nop``/``Mov``/forward ``Jump`` or branch) is
   scheduled alone on every program outside TSO, subject to a cycle
-  proviso and a panic gate; on programs passing
-  :func:`~repro.memory.por.por_eligible`, so is a thread loading a
-  location no other thread can still write.  ``REPRO_POR=0`` disables
-  the reduction; the ``por`` oracle checks both ways agree.
+  proviso and a panic gate.  ``REPRO_POR=0`` disables the reduction;
+  the ``por`` oracle checks both ways agree.
 * **Await-loop pruning** (:func:`thread_steps`): the taken back-edge of
   a pure await loop (:meth:`~repro.memory.semantics.ProgramCache.
   await_backedges`, e.g. a ticket-lock spin) is dropped, so a failed
@@ -29,13 +27,9 @@ search by the ``reduction`` conformance oracle
 * **Canonical state interning** (:class:`repro.memory.state.StateInterner`):
   the visited set stores compact hash-consed keys instead of deep nested
   tuples, so duplicate detection costs O(changed components) per
-  successor rather than O(whole state).
-* **Live-field projection** (:mod:`repro.memory.liveness`): under Arm,
-  the visited set keys each state on its live context fields, so states
-  differing only in a view or register no reachable instruction reads
-  count once.  ``states_explored`` therefore counts distinct projected
-  states, and ``keep_terminal_states`` keeps one representative per
-  projected class.
+  successor rather than O(whole state).  Keys are equal exactly when
+  the states are, so ``states_explored`` counts distinct non-doomed
+  states.
 
 The result records whether the exploration was *complete* — no path was
 cut by the memory-growth or state-count budget — which the verification
@@ -66,7 +60,6 @@ from repro.memory.datatypes import (
     latest_write_ts,
     value_at,
 )
-from repro.memory.liveness import state_projection, visited_key
 from repro.memory.por import PORPlan, por_worthwhile
 from repro.obs import metrics, tracer
 from repro.memory.semantics import (
@@ -139,7 +132,7 @@ def _successors(
     is the exploration's await-loop table (see :func:`thread_steps`)."""
     successors: Optional[List[ExecState]] = None
     if plan is not None:
-        ample = plan.ample_thread(cache, state, stats=stats)
+        ample = plan.ample_thread(state, stats=stats)
         if ample is not None:
             if sink is not None:
                 sink.emit(tracer.POR_AMPLE, thread=ample)
@@ -220,11 +213,8 @@ def _drop_doomed(
     every panic comes from a ``Panic`` instruction: every other
     ``_panic_state`` call site is a push/pull ownership check
     (``_ownership_check``, ``_exec_pull``, ``_exec_push``), hence the
-    ``not pushpull`` gate at the caller.  Doomedness reads only each
-    thread's ``pc``, ``halted`` and ``promises``, which the live-field
-    projection keeps, so a dropped state never shares a visited key with
-    a live one and the DFS meets the live states in the same order.
-    The check is two table lookups per promise-holding thread.
+    ``not pushpull`` gate at the caller.  The check is two table
+    lookups per promise-holding thread.
     """
     holders, stuck, panicky = tables
     if not holders:
@@ -247,6 +237,10 @@ def _drop_doomed(
             continue
         stats.doomed_pruned += 1
     return kept
+
+
+def _same(state: ExecState) -> ExecState:
+    return state
 
 
 def _is_valid_terminal(state: ExecState) -> bool:
@@ -283,28 +277,11 @@ def explore(
     monitor's counters freeze at its stop point either way, so verdicts
     are bit-identical in both modes.
     ``por`` overrides the partial-order-reduction default (``REPRO_POR``);
-    the reduction is exact (its load pass engages only on programs
-    passing the soundness gate), so behavior sets are identical either
-    way.
+    the reduction is exact, so behavior sets are identical either way.
     """
     cfg = resolve_model(resolve_vm_features(cfg))
     if por is None:
         por = por_default_enabled()
-    return _explore(
-        program, cfg, observe_locs, keep_terminal_states, por, monitors,
-        monitor_cut,
-    )
-
-
-def _explore(
-    program: Program,
-    cfg: ModelConfig,
-    observe_locs: Optional[Sequence[int]],
-    keep_terminal_states: bool,
-    por: bool,
-    monitors: Optional[Sequence[ExplorationMonitor]] = None,
-    monitor_cut: bool = True,
-) -> ExplorationResult:
     cache = ProgramCache(program)
     if observe_locs is None:
         observe_locs = sorted(cache.initial_memory)
@@ -339,10 +316,9 @@ def _explore(
     ]
     stats.fused_conditions = max(0, len(active) - 1)
     stopped_early = False
-    # Without interning (the benchmark baseline) whole projected states
-    # are hashed.
+    # Without interning (the benchmark baseline) whole states are hashed.
     interner = StateInterner() if interning_enabled() else None
-    state_key = visited_key(state_projection(cache, cfg), interner)
+    state_key = interner.key if interner is not None else _same
     # One certification memo — and one interner — for the whole run: the
     # outer DFS and every nested certification search share them.
     memo = CertMemo(interner=interner, stats=stats)

@@ -2,8 +2,8 @@
 
 The differential conformance oracles in :mod:`repro.conformance` claim to
 detect soundness bugs in the engine: a weakened barrier semantics, a
-verification monitor that swallows violations, a partial-order reduction
-applied outside its soundness gate.  That claim is itself testable only
+verification monitor that swallows violations, a state-space reduction
+that drops a reachable behavior.  That claim is itself testable only
 if such bugs can be *introduced on demand* — the classic
 mutation-killing discipline.  This module is the single registry of
 those seeded bug classes.
@@ -23,12 +23,6 @@ mutant is active:
   panics, so DRF-Kernel "verifies" racy programs.  Killed by the
   monitor-vs-exhaustive oracle, which recomputes the verdict from a
   monitor-free exploration's panic set.
-* ``skip-por-gate`` — :func:`repro.memory.por.por_eligible` and
-  :func:`~repro.memory.por.por_worthwhile` answer True for every
-  program, applying the ample-set reduction to programs with RMWs,
-  barriers, acquire/release accesses, and push/pull ownership — exactly
-  the cases where steps stop commuting.  Killed by the engine-config
-  agreement oracle (POR on vs. off).
 * ``bbm-skipped`` — :meth:`repro.ir.builder.ThreadBuilder.bbm_remap`
   drops the break phase: a live page-table entry is rewritten directly
   to the new live value (store/DMB/TLBI, no invalid intermediate).
@@ -95,7 +89,6 @@ from typing import FrozenSet, Iterator, Set, Tuple
 KNOWN_MUTANTS: Tuple[str, ...] = (
     "weaken-barrier-full",
     "weaken-drf-monitor",
-    "skip-por-gate",
     "bmc-drop-clause",
     "bmc-off-by-one-bound",
     "bbm-skipped",

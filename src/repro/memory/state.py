@@ -232,20 +232,11 @@ class StateInterner:
             self._pins.append(memory)
         return code
 
-    def key(
-        self, state: ExecState, threads: Optional[Tuple] = None
-    ) -> Tuple:
+    def key(self, state: ExecState) -> Tuple:
         """The canonical compact key of *state* (hashable; equal keys
-        if and only if equal states, within this interner).
-
-        *threads*, when given, stands in for the state's thread contexts
-        — the key of the state with those contexts, built without
-        building that state (how the explorer keys a live-field
-        projection, see :mod:`repro.memory.liveness`).
-        """
-        if threads is None:
-            return (self.timeline_code(state.memory),) + state[1:]
-        return (self.timeline_code(state.memory), threads) + state[2:]
+        if and only if equal states, within this interner): the outer
+        DFS's visited-set key."""
+        return (self.timeline_code(state.memory),) + state[1:]
 
 
 def initial_thread_ctx() -> ThreadCtx:

@@ -393,10 +393,6 @@ class MultiLevelPageTable:
 
         yield from rec(self.root, 0, 0)
 
-    @property
-    def pool_remaining(self) -> int:
-        return self._pool_remaining
-
     def table_count(self) -> int:
         """Number of table pages in use (including the root)."""
         return self._next_table_id

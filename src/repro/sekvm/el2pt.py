@@ -91,9 +91,3 @@ class EL2PageTable:
     @property
     def write_log(self) -> List[PTWrite]:
         return self.pagetable.write_log
-
-    def leaf_write_log(self) -> List[PTWrite]:
-        """Only the leaf-entry writes (the mappings themselves)."""
-        return [
-            w for w in self.pagetable.write_log if w.level == self.pagetable.levels - 1
-        ]

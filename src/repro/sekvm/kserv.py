@@ -40,9 +40,6 @@ class KServ:
             raise HypercallError("KServ out of memory")
         return self._free_pfns.pop()
 
-    def alloc_pages(self, count: int) -> List[int]:
-        return [self.alloc_page() for _ in range(count)]
-
     def map_and_write(self, cpu: int, pfn: int, value: int) -> int:
         """Map one of its pages into its stage 2 space and write it."""
         vpn = self._next_vpn

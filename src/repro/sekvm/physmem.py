@@ -38,9 +38,5 @@ class PhysicalMemory:
         """Zero a page (ownership-transfer hygiene)."""
         self.write(pfn, 0)
 
-    def scrub_range(self, pfns: Sequence[int]) -> None:
-        for pfn in pfns:
-            self.scrub(pfn)
-
     def snapshot(self, pfns: Sequence[int]) -> List[int]:
         return [self.read(pfn) for pfn in pfns]

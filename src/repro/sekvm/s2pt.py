@@ -159,9 +159,6 @@ class Stage2PageTable:
     def is_mapped(self, vpn: int) -> bool:
         return self.pagetable.is_mapped(vpn)
 
-    def mapped_pfns(self) -> List[int]:
-        return [pfn for _vpn, pfn in self.pagetable.mappings()]
-
     def table_pages(self) -> int:
         """Table pages in use — the quantity 3-level tables reduce."""
         return self.pagetable.table_count()

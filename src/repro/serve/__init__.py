@@ -29,8 +29,8 @@ make sure each distinct computation runs **once**:
   server degrades by refusing cold work, never by falling over.
 
 :mod:`repro.serve.traffic` drives the conformance fuzzer's genome
-generator as a synthetic traffic source for the ``serve`` bench section
-and the CI smoke test.  See ``docs/SERVING.md`` for the HTTP API, job
+generator as a synthetic traffic source for perfbench's ``serve_mixed``
+workload and the serve tests.  See ``docs/SERVING.md`` for the HTTP API, job
 lifecycle, and SSE event schema.
 """
 

@@ -141,7 +141,7 @@ class HotTier:
             )
 
     def stats(self) -> Dict[str, Any]:
-        """JSON-ready counters for ``/v1/stats`` and the bench section."""
+        """JSON-ready counters for ``/v1/stats``."""
         lookups = self.hits + self.misses
         return {
             "entries": len(self._entries),

@@ -15,7 +15,8 @@ names* — dedup must work on content, not labels.
 :func:`run_traffic` drives a running :class:`~repro.serve.server.
 VerificationServer` with N concurrent client coroutines over real HTTP
 and reports latency percentiles, throughput, and the server's cache
-accounting — the numbers the ``serve`` bench section records.
+accounting.  perfbench's ``serve_mixed`` workload draws its job mix from
+:func:`synthetic_workload`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The explorer drops the taken back-edge of a *pure await loop*
 (:meth:`repro.memory.semantics.ProgramCache.await_backedges`) and
 schedules a thread at a local step alone (:class:`repro.memory.por.
-PORPlan`, pass 1).  Each program here is checked against the
+PORPlan`).  Each program here is checked against the
 unreduced reference DFS — the ``reduction`` oracle, and the ``por``
 oracle where POR's gate is the point — and, where it matters, the test
 also pins whether the gate accepted the loop.

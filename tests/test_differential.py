@@ -2,10 +2,9 @@
 
 :data:`repro.conformance.oracles.ORACLES` is the repository's one
 differential-check mechanism: every optimization (partial-order
-reduction, the certification memo, live-field projection,
-doomed-state and await-loop pruning, pass fusion, the SAT/BMC backend,
-the process pool, the VM feature gates) is compared with its reference
-path there.  The fuzzer runs the entries on random genomes; this sweep
+reduction, the certification memo, doomed-state and await-loop
+pruning, pass fusion, the SAT/BMC backend, the process pool, the VM
+feature gates) is compared with its reference path there.  The fuzzer runs the entries on random genomes; this sweep
 runs every applicable entry on the litmus catalog and the SeKVM KCore
 wDRF specs (``reduction`` there also under each spec's push/pull
 configuration).

@@ -4,8 +4,8 @@
 be shown to fire when the engine is actually broken.  Each test here
 switches on one seeded bug class from :mod:`repro.memory.mutants` —
 a weakened full-barrier semantics, a DRF monitor that swallows
-violations, a partial-order reduction applied outside its soundness
-gate — and asserts the differential harness detects it within a small
+violations, a doomed-state reduction that drops live states — and
+asserts the differential harness detects it within a small
 fixed-seed budget, shrinking the witness to at most 8 operations.
 
 The bounded budgets double as a sensitivity measurement: if a future
@@ -23,7 +23,6 @@ from repro.memory import mutants
 MUTANT_MATRIX = [
     ("weaken-barrier-full", ("fenced",), "equivalence", 40),
     ("weaken-drf-monitor", ("sync",), "monitor", 20),
-    ("skip-por-gate", ("plain",), "por", 40),
     ("bmc-drop-clause", ("plain",), "backend", 40),
     ("bmc-off-by-one-bound", ("plain",), "backend", 40),
     ("lost-flush", ("plain",), "portability", 40),
@@ -173,16 +172,16 @@ class TestMutantRegistry:
 
     def test_seeded_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with mutants.seeded("skip-por-gate"):
-                assert mutants.enabled("skip-por-gate")
+            with mutants.seeded("lost-flush"):
+                assert mutants.enabled("lost-flush")
                 raise RuntimeError("boom")
         assert not mutants.active()
 
     def test_fingerprint_is_stable_and_sorted(self):
         assert mutants.fingerprint() == ""
-        with mutants.seeded("weaken-drf-monitor", "skip-por-gate"):
+        with mutants.seeded("weaken-drf-monitor", "lost-flush"):
             assert mutants.fingerprint() == (
-                "skip-por-gate,weaken-drf-monitor"
+                "lost-flush,weaken-drf-monitor"
             )
         assert mutants.fingerprint() == ""
 
@@ -193,7 +192,7 @@ class TestMutantRegistry:
 
         program = build(random_genome("plain", derive_rng(0, "key")))
         honest = exploration_key(program, SC, None, False, True)
-        with mutants.seeded("skip-por-gate"):
+        with mutants.seeded("lost-flush"):
             mutated = exploration_key(program, SC, None, False, True)
         assert honest != mutated
         assert honest == exploration_key(program, SC, None, False, True)

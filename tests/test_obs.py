@@ -184,6 +184,17 @@ def _obs_calls(max_promises, sink=None, with_metrics=False):
     return result.states_explored, sum(names.values()), names
 
 
+def _recorded_events(max_promises):
+    """How many events a :class:`RecordingSink` records while exploring
+    ``promise_heavy`` (spans included)."""
+    program = catalog.promise_heavy_program()
+    cfg = ModelConfig(relaxed=True, max_promises_per_thread=max_promises)
+    with recording() as rec:
+        explore(program, cfg)
+    assert rec.dropped == 0
+    return len(rec.events)
+
+
 class TestFreeWhenOff:
     """The contract of docs/OBSERVABILITY.md: with no sink installed and
     metrics off, each emission site costs one ``None`` test (or one
@@ -198,12 +209,15 @@ class TestFreeWhenOff:
 
     def test_probe_sees_the_emission_sites(self):
         # Control for the test above: with a NullSink the same sites do
-        # call into repro.obs, about twice per state.
-        small_states, small, _ = _obs_calls(1, sink=NullSink())
-        states, calls, names = _obs_calls(3, sink=NullSink())
-        assert states > small_states
-        assert calls > small > small_states
-        assert names["emit"] > 0 and names["next_seq"] > 0
+        # call into repro.obs, exactly twice per event (``emit`` and
+        # ``next_seq``), plus ``begin_span`` and ``end_span`` once each.
+        calls = {}
+        for promises in (1, 3):
+            _, calls[promises], names = _obs_calls(promises, sink=NullSink())
+            events = _recorded_events(promises)
+            assert calls[promises] == 2 * events + 2, (promises, names)
+            assert names["emit"] > 0 and names["next_seq"] > 0
+        assert calls[3] > calls[1] > 0
 
     def test_metrics_cost_is_per_exploration_not_per_state(self):
         small_states, small, _ = _obs_calls(1, with_metrics=True)
