@@ -297,11 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ("port", args.port),
             ("workers", args.workers),
             ("queue_limit", args.queue_limit),
-            ("batch", args.batch),
-            ("hot_entries", args.hot_entries),
-            ("hot_mb", args.hot_mb),
-            ("tenant_rate", args.tenant_rate),
-            ("tenant_burst", args.tenant_burst),
         )
         if value is not None
     }
@@ -635,23 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded cold-job queue; on overflow the oldest "
                    "queued job is shed with a typed 429 (default: "
                    "REPRO_SERVE_QUEUE or 64)")
-    p.add_argument("--batch", type=int, default=None,
-                   help="max jobs handed to a worker per dispatch, "
-                   "grouped by content-key affinity (default: "
-                   "REPRO_SERVE_BATCH or 4)")
-    p.add_argument("--hot-entries", type=int, default=None,
-                   help="hot-tier result cache entry cap; 0 disables "
-                   "(default: REPRO_SERVE_HOT_ENTRIES or 1024)")
-    p.add_argument("--hot-mb", type=float, default=None,
-                   help="hot-tier byte cap in MiB (default: "
-                   "REPRO_SERVE_HOT_MB or 64)")
-    p.add_argument("--tenant-rate", type=float, default=None,
-                   help="cold jobs/second each tenant may submit; 0 "
-                   "disables throttling (default: "
-                   "REPRO_SERVE_TENANT_RATE or 0)")
-    p.add_argument("--tenant-burst", type=float, default=None,
-                   help="tenant token-bucket burst ceiling (default: "
-                   "REPRO_SERVE_TENANT_BURST or 20)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

@@ -12,8 +12,8 @@ accepts, its default and its parser.  Two entry points use it:
   on exit, so an in-process caller never inherits them.
 
 Unset or empty means the default.  Booleans accept exactly ``0`` or
-``1``; choices are compared after ``strip().lower()``; numbers must
-parse and be ``>= 0``.  Any other value raises :class:`ValueError`
+``1``; choices are compared after ``strip().lower()``; counts must
+parse as integers ``>= 0``.  Any other value raises :class:`ValueError`
 naming the variable and what it accepts.
 """
 
@@ -66,13 +66,11 @@ def _choice(names: Tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-def _at_least_zero(convert: Callable[[str], Any]) -> Callable[[str], Any]:
-    def parse(raw: str) -> Any:
-        value = convert(raw)
-        if not value >= 0:
-            raise ValueError(raw)
-        return value
-    return parse
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
 
 
 class Knob(NamedTuple):
@@ -86,9 +84,6 @@ class Knob(NamedTuple):
 
 _BOOL = "0 or 1"
 _COUNT = "an integer >= 0"
-_NUMBER = "a number >= 0"
-_count = _at_least_zero(int)
-_number = _at_least_zero(float)
 
 #: name -> row; :func:`get` and :func:`override` take the name.
 KNOBS: Dict[str, Knob] = {
@@ -116,17 +111,6 @@ KNOBS: Dict[str, Knob] = {
     "serve_port": Knob("REPRO_SERVE_PORT", _COUNT, 8044, _count),
     "serve_workers": Knob("REPRO_SERVE_WORKERS", _COUNT, 1, _count),
     "serve_queue": Knob("REPRO_SERVE_QUEUE", _COUNT, 64, _count),
-    "serve_batch": Knob("REPRO_SERVE_BATCH", _COUNT, 4, _count),
-    "serve_hot_entries": Knob("REPRO_SERVE_HOT_ENTRIES", _COUNT, 1024,
-                              _count),
-    "serve_hot_mb": Knob("REPRO_SERVE_HOT_MB", _NUMBER, 64.0, _number),
-    "serve_tenant_rate": Knob("REPRO_SERVE_TENANT_RATE", _NUMBER, 0.0,
-                              _number),
-    "serve_tenant_burst": Knob("REPRO_SERVE_TENANT_BURST", _NUMBER, 20.0,
-                               _number),
-    "serve_trace_events": Knob("REPRO_SERVE_TRACE_EVENTS", _COUNT, 256,
-                               _count),
-    "serve_disk": Knob("REPRO_SERVE_DISK", _BOOL, True, _flag),
 }
 
 

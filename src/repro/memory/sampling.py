@@ -26,6 +26,9 @@ from repro.memory.semantics import (
     ProgramCache,
     execute_instruction,
     promise_steps,
+    resolve_model,
+    resolve_vm_features,
+    tso_flush_steps,
 )
 from repro.memory.state import initial_state
 
@@ -46,7 +49,10 @@ def sample_behaviors(
     randomness comes from the explicit *rng* (default: a fresh
     ``random.Random(seed)``), never from the global generator, so a
     sampling session replayed from a persisted seed is bit-identical.
+    Like :func:`~repro.memory.exploration.explore`, it applies the
+    ``REPRO_VM_FEATURES`` and ``REPRO_MODEL`` selections to *cfg*.
     """
+    cfg = resolve_model(resolve_vm_features(cfg))
     cache = ProgramCache(program)
     if observe_locs is None:
         observe_locs = sorted(cache.initial_memory)
@@ -66,6 +72,12 @@ def sample_behaviors(
                 break
             successors = []
             for tidx in range(len(program.threads)):
+                # TSO store buffers drain by their own internal step; a
+                # walk only ends once every buffer is empty.
+                if cfg.tso and state.threads[tidx].wbuf:
+                    successors.extend(
+                        tso_flush_steps(cache, state, tidx, cfg)
+                    )
                 successors.extend(
                     execute_instruction(cache, state, tidx, cfg)
                 )

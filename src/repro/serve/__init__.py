@@ -1,12 +1,11 @@
 """Verification-as-a-service: the ``repro serve`` HTTP layer.
 
 The engine work (POR, memoization, pass fusion, the BMC router) made
-individual queries fast; this package converts that into *serving
-throughput* for many concurrent clients verifying overlapping
-kernels.  The load-bearing observation is that real query mixes are
-duplicate-heavy — the same litmus shapes, the same KCore
-primitives, near-identical fuzzer genomes — so the server's job is to
-make sure each distinct computation runs **once**:
+individual queries fast; this package serves them over HTTP to
+clients verifying overlapping kernels.  The load-bearing observation
+is that real query mixes are duplicate-heavy — the same litmus shapes,
+the same KCore primitives, near-identical fuzzer genomes — so the
+server's job is to make sure each distinct computation runs **once**:
 
 * **Content addressing** (:mod:`repro.serve.jobs`): every job is keyed
   by the same fingerprint spaces the engine cache uses
@@ -20,13 +19,16 @@ make sure each distinct computation runs **once**:
 * **Coalescing** (:mod:`repro.serve.server`): an in-flight request with
   the same key attaches to the running computation instead of queueing
   a second one.
+* **A bounded queue** (:mod:`repro.serve.server`): when it is full the
+  oldest queued job is shed with a typed 429, so the server degrades by
+  refusing cold work, never by falling over.  Warm answers (hot tier,
+  disk, coalesce) never queue, so they are never shed.
 * **Persistent workers** (:mod:`repro.serve.workers`): a pre-forked
   pool of long-lived processes whose interner/memo/exploration caches
   stay warm across jobs — replacing the fork-per-call pattern of
-  :mod:`repro.parallel.pool` for the serving path.
-* **Admission control** (:mod:`repro.serve.admission`): per-tenant
-  token budgets and a bounded queue (shed-oldest, typed 429) so the
-  server degrades by refusing cold work, never by falling over.
+  :mod:`repro.parallel.pool` for the serving path.  Each idle worker
+  takes the oldest queued job, one at a time; a worker that dies fails
+  its job with ``worker_lost`` and is replaced.
 
 :mod:`repro.serve.traffic` drives the conformance fuzzer's genome
 generator as a synthetic traffic source for perfbench's ``serve_mixed``

@@ -16,7 +16,6 @@ from typing import Any, AsyncIterator, Dict, Optional, Tuple
 async def _request(
     host: str, port: int, method: str, path: str,
     body: Optional[Dict[str, Any]] = None,
-    headers: Optional[Dict[str, str]] = None,
 ) -> Tuple[int, Dict[str, Any]]:
     """One request/response exchange; returns ``(status, json_body)``."""
     reader, writer = await asyncio.open_connection(host, port)
@@ -26,8 +25,6 @@ async def _request(
                  f"Host: {host}:{port}",
                  "Connection: close",
                  f"Content-Length: {len(data)}"]
-        for name, value in (headers or {}).items():
-            lines.append(f"{name}: {value}")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + data)
         await writer.drain()
         status_line = await reader.readline()
@@ -47,14 +44,11 @@ async def _request(
 
 
 async def submit_job(
-    host: str, port: int, job: Dict[str, Any],
-    wait: bool = True, tenant: Optional[str] = None,
+    host: str, port: int, job: Dict[str, Any], wait: bool = True,
 ) -> Tuple[int, Dict[str, Any]]:
     """POST a job; ``wait=True`` blocks until the result document."""
     path = "/v1/jobs" + ("?wait=1" if wait else "")
-    headers = {"X-Repro-Tenant": tenant} if tenant else None
-    return await _request(host, port, "POST", path, body=job,
-                          headers=headers)
+    return await _request(host, port, "POST", path, body=job)
 
 
 async def get_job(host: str, port: int,

@@ -10,10 +10,12 @@ re-entry, no disk read.
 documents vary from a few hundred bytes to tens of KB of rendered
 counterexample), with hit/miss/eviction counters mirrored into the
 ``obs`` metrics registry when it is enabled.  Below it sits a small
-JSON-per-key disk layer under ``<cache_dir>/serve`` that goes through
-the engine cache's own atomic write-and-replace store and
-delete-on-corrupt load (:func:`repro.memory.cache.disk_write` /
-:func:`repro.memory.cache.disk_read`).
+JSON-per-key disk layer under ``<cache_dir>/serve``.  It is on exactly
+when the engine cache is (``REPRO_EXPLORE_CACHE``, ``--no-cache``), so
+a ``--no-cache`` run never observes results persisted by earlier runs,
+and it goes through the engine cache's own atomic write-and-replace
+store and delete-on-corrupt load (:func:`repro.memory.cache.disk_write`
+/ :func:`repro.memory.cache.disk_read`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from repro import config
 from repro.memory.cache import (
     cache_dir,
     cache_enabled,
@@ -32,24 +33,19 @@ from repro.memory.cache import (
 )
 from repro.obs import metrics
 
+#: The hot tier's caps: entries, and bytes of serialized documents.
+HOT_ENTRIES = 1024
+HOT_BYTES = 64 * 1024 * 1024
+
 
 def serve_disk_dir() -> str:
     """The serve result layer's directory (under the engine cache dir)."""
     return os.path.join(cache_dir(), "serve")
 
 
-def serve_disk_enabled() -> bool:
-    """Disk persistence of result documents (``REPRO_SERVE_DISK``).
-
-    Follows the engine cache master switch: ``--no-cache`` runs must
-    not observe results persisted by earlier runs.
-    """
-    return cache_enabled() and config.get("serve_disk")
-
-
 def disk_load(key: str) -> Optional[Dict[str, Any]]:
     """Load one result document, deleting anything unreadable."""
-    if not serve_disk_enabled():
+    if not cache_enabled():
         return None
     return disk_read(
         os.path.join(serve_disk_dir(), key + ".json"), json.loads, dict
@@ -62,7 +58,7 @@ def _json_dumps(doc: Dict[str, Any]) -> bytes:
 
 def disk_store(key: str, doc: Dict[str, Any]) -> None:
     """Atomically persist one result document."""
-    if not serve_disk_enabled():
+    if not cache_enabled():
         return
     disk_write(
         os.path.join(serve_disk_dir(), key + ".json"), doc, _json_dumps
@@ -77,8 +73,8 @@ class HotTier:
     worker tests use to force repeat jobs through the pool.
     """
 
-    def __init__(self, max_entries: int = 1024,
-                 max_bytes: int = 64 * 1024 * 1024) -> None:
+    def __init__(self, max_entries: int = HOT_ENTRIES,
+                 max_bytes: int = HOT_BYTES) -> None:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()

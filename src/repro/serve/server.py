@@ -1,4 +1,4 @@
-"""The asyncio HTTP server: dedup first, admission second, workers last.
+"""The asyncio HTTP server: dedup first, bounded queue second, workers last.
 
 Zero dependencies: HTTP/1.1 is hand-rolled over ``asyncio`` streams
 (the request surface is four routes; a framework would be the only
@@ -11,21 +11,21 @@ Routes (see ``docs/SERVING.md`` for the full contract):
 * ``POST /v1/jobs`` — submit a job (``?wait=1`` blocks for the result)
 * ``GET /v1/jobs/<id>`` — job status + result document
 * ``GET /v1/jobs/<id>/events`` — SSE stream of the job's events
-* ``GET /v1/stats`` — serving counters (hot tier, admission, queue)
+* ``GET /v1/stats`` — serving counters (hot tier, queue, workers)
 * ``GET /healthz`` — liveness
 
 The submit path is ordered so the cheapest answer wins and warm
-traffic can never be shed (*warm-cache admission control*):
+traffic can never be shed:
 
 1. parse + content-address (400 on malformed input),
 2. hot tier (in-memory LRU of result documents),
 3. serve disk layer (promoted into the hot tier on hit),
 4. in-flight coalesce (same key already queued/running → attach),
-5. tenant token budget (typed 429 ``tenant_budget_exhausted``),
-6. bounded queue, shedding the *oldest* queued job on overflow
+5. bounded queue, shedding the *oldest* queued job on overflow
    (typed 429 ``queue_shed`` delivered to the shed job's waiters),
-7. dispatch to the persistent worker pool, batched by key affinity so
-   jobs likely to share cache entries land on the same warm worker.
+6. dispatch: each idle worker of the persistent pool takes the oldest
+   queued job, one job at a time.  A worker that dies fails its job
+   with ``worker_lost`` (500) and the pool forks a replacement.
 """
 
 from __future__ import annotations
@@ -38,10 +38,23 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import config
-from repro.serve import admission as adm
 from repro.serve import hot_tier as hot
 from repro.serve.jobs import Job, JobError, parse_job
 from repro.serve.workers import make_pool
+
+#: The ``error.type`` of a 429 body: the job was shed from a full queue.
+QUEUE_SHED = "queue_shed"
+
+
+def shed_error(key: str) -> Dict[str, Any]:
+    """The typed 429 body a shed job's waiters receive."""
+    return {
+        "error": {
+            "type": QUEUE_SHED,
+            "key": key,
+            "retry_after_seconds": 1.0,
+        }
+    }
 
 
 @dataclass
@@ -52,11 +65,6 @@ class ServeConfig:
     port: int = 8044                  # 0 = ephemeral (tests, bench)
     workers: int = 1                  # 0 = inline (no fork)
     queue_limit: int = 64             # bounded cold-job queue
-    batch: int = 4                    # max jobs per worker dispatch
-    hot_entries: int = 1024           # hot tier entry cap (0 disables)
-    hot_mb: float = 64.0              # hot tier byte cap in MiB
-    tenant_rate: float = 0.0          # cold jobs/s per tenant (0 = off)
-    tenant_burst: float = 20.0        # token bucket ceiling
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "ServeConfig":
@@ -66,11 +74,6 @@ class ServeConfig:
             port=config.get("serve_port"),
             workers=config.get("serve_workers"),
             queue_limit=config.get("serve_queue"),
-            batch=config.get("serve_batch"),
-            hot_entries=config.get("serve_hot_entries"),
-            hot_mb=config.get("serve_hot_mb"),
-            tenant_rate=config.get("serve_tenant_rate"),
-            tenant_burst=config.get("serve_tenant_burst"),
         )
         for name, value in overrides.items():
             setattr(cfg, name, value)
@@ -83,7 +86,6 @@ class JobRecord:
 
     id: str
     job: Job
-    tenant: str
     status: str = "queued"      # queued | running | done | error | shed
     source: str = "computed"    # computed | hot | disk | coalesced
     result: Optional[Dict[str, Any]] = None
@@ -124,17 +126,10 @@ class VerificationServer:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig.from_env()
-        mb = self.config.hot_mb
-        self.hot = hot.HotTier(
-            max_entries=self.config.hot_entries,
-            max_bytes=int(mb * 1024 * 1024) if mb > 0 else 0,
-        )
-        self.admission = adm.AdmissionControl(
-            self.config.tenant_rate, self.config.tenant_burst
-        )
+        self.hot = hot.HotTier()
         self.counters: Dict[str, int] = {
             "submitted": 0, "computed": 0, "hot_hits": 0, "disk_hits": 0,
-            "coalesced": 0, "shed": 0, "rejected": 0, "errors": 0,
+            "coalesced": 0, "shed": 0, "errors": 0, "lost": 0,
         }
         self.worker_cache_stats: Dict[str, Dict[str, int]] = {
             "hits": {}, "misses": {},
@@ -142,7 +137,7 @@ class VerificationServer:
         self._records: Dict[str, JobRecord] = {}
         self._inflight: Dict[str, str] = {}      # key -> primary job id
         self._queue: Deque[str] = deque()        # job ids awaiting dispatch
-        self._outstanding: Dict[int, int] = {}   # widx -> queued batches
+        self._running: Dict[int, Optional[str]] = {}  # widx -> job id
         self._next_id = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool = None
@@ -157,9 +152,7 @@ class VerificationServer:
         self._loop = asyncio.get_running_loop()
         self._pool = make_pool(self.config.workers, self._pool_message)
         self._pool.start()
-        self._outstanding = {
-            w: 0 for w in range(self._pool.n_workers)
-        }
+        self._running = dict.fromkeys(range(self._pool.n_workers))
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.config.host, port=self.config.port
         )
@@ -175,14 +168,12 @@ class VerificationServer:
     # ------------------------------------------------------------------
     # the submit pipeline
 
-    def submit(self, body: Dict[str, Any],
-               tenant: str = "default") -> Tuple[int, JobRecord]:
-        """Run the dedup/admission pipeline for one request body.
+    def submit(self, body: Dict[str, Any]) -> Tuple[int, JobRecord]:
+        """Run the dedup/queue pipeline for one request body.
 
         Returns ``(http_status, record)``; raises :class:`JobError`
         (→ 400) on malformed input.  Terminal statuses are materialized
-        immediately: a hot/disk/throttled/shed submission never touches
-        the queue.
+        immediately: a hot or disk hit never touches the queue.
         """
         job = parse_job(body)
         self.counters["submitted"] += 1
@@ -191,12 +182,12 @@ class VerificationServer:
         doc = self.hot.get(job.key)
         if doc is not None:
             self.counters["hot_hits"] += 1
-            return 200, self._finished_record(job, tenant, doc, "hot", now)
+            return 200, self._finished_record(job, doc, "hot", now)
         doc = hot.disk_load(job.key)
         if doc is not None:
             self.counters["disk_hits"] += 1
             self.hot.put(job.key, doc)
-            return 200, self._finished_record(job, tenant, doc, "disk", now)
+            return 200, self._finished_record(job, doc, "disk", now)
 
         primary_id = self._inflight.get(job.key)
         if primary_id is not None:
@@ -205,22 +196,15 @@ class VerificationServer:
                 self.counters["coalesced"] += 1
                 return 202, primary
 
-        refusal = self.admission.admit(tenant)
-        if refusal is not None:
-            self.counters["rejected"] += 1
-            record = self._new_record(job, tenant, now)
-            self._finish(record, status="shed", error=refusal)
-            return 429, record
-
         if len(self._queue) >= max(1, self.config.queue_limit):
             oldest = self._records[self._queue.popleft()]
             self._inflight.pop(oldest.job.key, None)
             self.counters["shed"] += 1
             self._finish(
-                oldest, status="shed", error=adm.shed_error(oldest.job.key)
+                oldest, status="shed", error=shed_error(oldest.job.key)
             )
 
-        record = self._new_record(job, tenant, now)
+        record = self._new_record(job, now)
         self._inflight[job.key] = record.id
         self._queue.append(record.id)
         self._emit(record, {"kind": "job_queued", "job_id": record.id,
@@ -233,18 +217,17 @@ class VerificationServer:
         await record.done.wait()
         return record
 
-    def _new_record(self, job: Job, tenant: str, now: float) -> JobRecord:
+    def _new_record(self, job: Job, now: float) -> JobRecord:
         self._next_id += 1
         record = JobRecord(
-            id=f"j{self._next_id:06d}", job=job, tenant=tenant,
-            submitted_at=now,
+            id=f"j{self._next_id:06d}", job=job, submitted_at=now,
         )
         self._records[record.id] = record
         return record
 
-    def _finished_record(self, job: Job, tenant: str, doc: Dict[str, Any],
+    def _finished_record(self, job: Job, doc: Dict[str, Any],
                          source: str, now: float) -> JobRecord:
-        record = self._new_record(job, tenant, now)
+        record = self._new_record(job, now)
         record.source = source
         record.result = doc
         self._finish(record, status="done")
@@ -269,43 +252,19 @@ class VerificationServer:
     # dispatch + pool messages
 
     def _pump(self) -> None:
-        """Hand queued jobs to idle workers, batched by key affinity.
-
-        A job's preferred worker is a stable function of its content
-        key, so repeats and near-duplicates keep landing on the same
-        warm memo.  An idle worker with no affine work steals the
-        oldest queued job instead (work conservation beats affinity
-        when the alternative is an idle process).
-        """
+        """Hand the oldest queued job to each idle worker."""
         if self._pool is None:
             return
-        n = self._pool.n_workers
-        for widx in range(n):
-            if self._outstanding[widx] > 0 or not self._queue:
+        for widx, running in self._running.items():
+            if running is not None or not self._queue:
                 continue
-            batch: List[Tuple[str, Dict[str, Any]]] = []
-            keep: Deque[str] = deque()
-            while self._queue and len(batch) < max(1, self.config.batch):
-                job_id = self._queue.popleft()
-                record = self._records[job_id]
-                if not batch or self._affinity(record.job.key, n) == widx:
-                    record.status = "running"
-                    self._emit(record, {
-                        "kind": "job_running", "job_id": record.id,
-                        "worker": widx,
-                    })
-                    batch.append((record.id, record.job.payload))
-                else:
-                    keep.append(job_id)
-            for job_id in reversed(keep):
-                self._queue.appendleft(job_id)
-            if batch:
-                self._outstanding[widx] += len(batch)
-                self._pool.submit(widx, batch)
-
-    @staticmethod
-    def _affinity(key: str, n_workers: int) -> int:
-        return int(key[:8], 16) % max(1, n_workers)
+            record = self._records[self._queue.popleft()]
+            record.status = "running"
+            self._emit(record, {
+                "kind": "job_running", "job_id": record.id, "worker": widx,
+            })
+            self._running[widx] = record.id
+            self._pool.submit(widx, record.id, record.job.payload)
 
     def _pool_message(self, msg: Tuple[Any, ...]) -> None:
         """Pool reader-thread callback: bounce into the event loop."""
@@ -313,14 +272,17 @@ class VerificationServer:
             self._loop.call_soon_threadsafe(self._on_message, msg)
 
     def _on_message(self, msg: Tuple[Any, ...]) -> None:
-        kind, widx, job_id = msg[0], msg[1], msg[2]
-        record = self._records.get(job_id)
+        kind, widx = msg[0], msg[1]
+        if kind == "lost":
+            self._on_lost(widx, msg[2])
+            return
+        record = self._records.get(msg[2])
         if record is None:
             return
         if kind == "event":
             self._emit(record, {"kind": "engine_event", "event": msg[3]})
             return
-        self._outstanding[widx] = max(0, self._outstanding[widx] - 1)
+        self._running[widx] = None
         self._merge_cache_stats(msg[4])
         record.cache_stats = msg[4]
         self._inflight.pop(record.job.key, None)
@@ -335,6 +297,21 @@ class VerificationServer:
             self._finish(record, status="error", error={
                 "error": {"type": "execution_failed", "detail": msg[3]},
             })
+        self._pump()
+
+    def _on_lost(self, widx: int, exit_code: Optional[int]) -> None:
+        """Worker *widx* died: fail the job it was running, if any, and
+        dispatch to its replacement.  Every message the worker sent has
+        been handled already, so a job it finished is not failed."""
+        self.counters["lost"] += 1
+        job_id, self._running[widx] = self._running[widx], None
+        if job_id is not None:
+            record = self._records[job_id]
+            self._inflight.pop(record.job.key, None)
+            self._finish(record, status="error", error={
+                "error": {"type": "worker_lost", "exit_code": exit_code},
+            })
+        self._pool.replace(widx)
         self._pump()
 
     def _merge_cache_stats(self, stats: Dict[str, Dict[str, int]]) -> None:
@@ -355,7 +332,6 @@ class VerificationServer:
             "counters": dict(self.counters),
             "cache_hit_rate": (served_warm / total) if total else 0.0,
             "hot_tier": self.hot.stats(),
-            "admission": self.admission.stats(),
             "worker_cache": {
                 "hits": dict(self.worker_cache_stats["hits"]),
                 "misses": dict(self.worker_cache_stats["misses"]),
@@ -373,12 +349,17 @@ class VerificationServer:
             request = await self._read_request(reader)
             if request is None:
                 return
-            method, path, query, headers, body = request
-            await self._route(method, path, query, headers, body, writer)
+            await self._route(*request, writer)
         except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
             pass
         finally:
             try:
+                # Half-close before closing: a replacement worker forked
+                # while this connection was open holds a copy of its
+                # socket, so close() alone would leave the client
+                # waiting for an end of file.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
@@ -403,9 +384,9 @@ class VerificationServer:
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0") or 0)
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, query, headers, body
+        return method.upper(), path, query, body
 
-    async def _route(self, method, path, query, headers, body, writer):
+    async def _route(self, method, path, query, body, writer):
         if method == "GET" and path == "/healthz":
             await self._respond(writer, 200, {"ok": True})
             return
@@ -413,7 +394,7 @@ class VerificationServer:
             await self._respond(writer, 200, self.stats())
             return
         if method == "POST" and path == "/v1/jobs":
-            await self._handle_submit(query, headers, body, writer)
+            await self._handle_submit(query, body, writer)
             return
         if method == "GET" and path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
@@ -433,7 +414,7 @@ class VerificationServer:
             "error": {"type": "unknown_route", "path": path},
         })
 
-    async def _handle_submit(self, query, headers, body, writer) -> None:
+    async def _handle_submit(self, query, body, writer) -> None:
         try:
             payload = json.loads(body.decode("utf-8") or "null")
         except ValueError:
@@ -441,9 +422,8 @@ class VerificationServer:
                 "error": {"type": "malformed_json"},
             })
             return
-        tenant = headers.get("x-repro-tenant", "default")
         try:
-            status, record = self.submit(payload, tenant=tenant)
+            status, record = self.submit(payload)
         except JobError as exc:
             await self._respond(writer, 400, {
                 "error": {"type": "invalid_job", "detail": str(exc)},

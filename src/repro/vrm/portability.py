@@ -30,15 +30,13 @@ Two granularities:
   which must be anti-monotone in model strength: verified on Arm ⇒
   verified on TSO ⇒ verified on SC).  The matrix is persisted as
   ``tests/corpus/portability_verdicts.json`` (regenerate with
-  ``python -m repro.vrm.portability <path>``) and pinned by the corpus
-  regression suite.
+  ``python -m repro portability --jobs 1 -o <path>``) and pinned by the
+  corpus regression suite.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro import config
@@ -221,20 +219,3 @@ def render_matrix(matrix: Dict[str, object]) -> str:
     )
     return "\n".join(lines)
 
-
-def main(argv: List[str]) -> int:
-    """Write the matrix to the path in ``argv`` (or stdout)."""
-    matrix = build_matrix()
-    text = json.dumps(matrix, indent=2, sort_keys=True) + "\n"
-    if argv:
-        with open(argv[0], "w", encoding="utf-8") as fh:
-            fh.write(text)
-        rows = len(matrix["litmus"]) + len(matrix["sekvm"])
-        print(f"wrote {rows} verdict rows to {argv[0]}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

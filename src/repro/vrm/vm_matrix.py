@@ -102,20 +102,6 @@ def build_matrix(cache: bool = True) -> Dict[str, object]:
     }
 
 
-def render_matrix(matrix: Dict[str, object]) -> str:
-    """Human-readable verdict table (one line per row)."""
-    lines = ["features                        scenario                 "
-             "TPT  STLBI  stale"]
-    for row in matrix["rows"]:
-        lines.append(
-            f"{row['features'] or '(none)':<31} {row['scenario']:<24} "
-            f"{'ok' if row['transactional_holds'] else 'VIOL':<4} "
-            f"{'ok' if row['tlb_sequential_holds'] else 'VIOL':<6} "
-            f"{'yes' if row['stale_observed'] else 'no'}"
-        )
-    return "\n".join(lines)
-
-
 def main(argv: List[str]) -> int:
     """Write the matrix to the path in ``argv`` (or stdout)."""
     matrix = build_matrix()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -51,6 +53,20 @@ class TestLitmus:
         code, out = run_cli(capsys, "litmus", "--corpus", "paper")
         assert code == 0
         assert "Example2" in out
+
+
+class TestPortability:
+    def test_output_matches_the_pinned_matrix(self, capsys, tmp_path):
+        """``repro portability -o`` is how the pinned matrix is
+        regenerated, so on an unchanged tree it writes the same bytes."""
+        out_path = tmp_path / "portability.json"
+        code, out = run_cli(capsys, "portability", "--jobs", "1",
+                            "--no-cache", "-o", str(out_path))
+        assert code == 0
+        assert "CERTIFIED" in out
+        pinned = (Path(__file__).parent / "corpus"
+                  / "portability_verdicts.json")
+        assert out_path.read_bytes() == pinned.read_bytes()
 
 
 class TestTables:

@@ -19,7 +19,6 @@ from repro.memory.semantics import (
     resolve_model,
 )
 from repro.memory.state import interning_enabled
-from repro.serve.hot_tier import serve_disk_enabled
 from repro.serve.server import ServeConfig
 from repro.smt.backend import bmc_condition_results
 from repro.smt.encode import Unsupported
@@ -39,7 +38,6 @@ READERS = {
     "explore_cache": cache.cache_enabled,
     "explore_memo": cache.memo_enabled,
     "bmc_induction": lambda: config.get("bmc_induction"),
-    "serve_disk": serve_disk_enabled,
 }
 
 
@@ -59,7 +57,7 @@ def _repro_env():
 
 
 class TestStrictParsing:
-    def test_bool_knobs_are_the_eight_switches(self):
+    def test_bool_knobs_are_the_seven_switches(self):
         assert sorted(BOOL_KNOBS) == sorted(READERS)
 
     @pytest.mark.parametrize("name", sorted(READERS))
@@ -100,8 +98,6 @@ class TestStrictParsing:
 
     @pytest.mark.parametrize("env, raw", [
         ("REPRO_SERVE_PORT", "80x"),
-        ("REPRO_SERVE_TRACE_EVENTS", "abc"),
-        ("REPRO_SERVE_HOT_MB", "lots"),
         ("REPRO_BMC_DEPTH", "-1"),
         ("REPRO_BMC_DEPTH", "2.5"),
     ])
@@ -113,24 +109,20 @@ class TestStrictParsing:
 
 
 class TestServeConfig:
-    def test_from_env_reads_its_nine_knobs(self, monkeypatch):
+    def test_from_env_reads_its_four_knobs(self, monkeypatch):
         values = {
             "REPRO_SERVE_HOST": ("0.0.0.0", "host", "0.0.0.0"),
             "REPRO_SERVE_PORT": ("9001", "port", 9001),
             "REPRO_SERVE_WORKERS": ("3", "workers", 3),
             "REPRO_SERVE_QUEUE": ("7", "queue_limit", 7),
-            "REPRO_SERVE_BATCH": ("2", "batch", 2),
-            "REPRO_SERVE_HOT_ENTRIES": ("11", "hot_entries", 11),
-            "REPRO_SERVE_HOT_MB": ("1.5", "hot_mb", 1.5),
-            "REPRO_SERVE_TENANT_RATE": ("2.5", "tenant_rate", 2.5),
-            "REPRO_SERVE_TENANT_BURST": ("9", "tenant_burst", 9.0),
         }
         assert ServeConfig.from_env() == ServeConfig()
         for env, (raw, _, _) in values.items():
             monkeypatch.setenv(env, raw)
-        cfg = ServeConfig.from_env(batch=5)
+        cfg = ServeConfig.from_env(queue_limit=5)
         for env, (_, field, want) in values.items():
-            assert getattr(cfg, field) == (5 if field == "batch" else want)
+            assert getattr(cfg, field) == (
+                5 if field == "queue_limit" else want)
 
     def test_from_env_rejects_a_bad_port(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_PORT", "80x")
@@ -206,13 +198,6 @@ NEUTRAL = {
     "serve_port": "9001",
     "serve_workers": "0",
     "serve_queue": "1",
-    "serve_batch": "1",
-    "serve_hot_entries": "0",
-    "serve_hot_mb": "1",
-    "serve_tenant_rate": "1",
-    "serve_tenant_burst": "1",
-    "serve_trace_events": "0",
-    "serve_disk": "0",
 }
 
 

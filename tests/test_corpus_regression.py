@@ -19,9 +19,9 @@ the ``REPRO_VM_FEATURES`` families fails here, not silently.
 
 So is the model-portability matrix
 (``tests/corpus/portability_verdicts.json``, regenerate with
-``python -m repro.vrm.portability``): the per-model litmus verdicts,
-the per-model SeKVM wDRF verdicts, and the containment chain
-SC ⊆ TSO ⊆ Arm on every row.
+``python -m repro portability --jobs 1 -o <path>``): the per-model
+litmus verdicts, the per-model SeKVM wDRF verdicts, and the containment
+chain SC ⊆ TSO ⊆ Arm on every row.
 """
 
 import json
@@ -158,7 +158,7 @@ class TestPortabilityVerdicts:
             "the portability matrix drifted from "
             "tests/corpus/portability_verdicts.json — if the semantics "
             "change is intentional, regenerate with "
-            "`python -m repro.vrm.portability tests/corpus/"
+            "`python -m repro portability --jobs 1 -o tests/corpus/"
             "portability_verdicts.json` and explain the moved verdicts"
         )
 

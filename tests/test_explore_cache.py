@@ -46,8 +46,7 @@ def two_thread_program():
 
 def _serve_disk_on(monkeypatch):
     monkeypatch.delenv("REPRO_EXPLORE_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SERVE_DISK", raising=False)
-    assert hot_tier.serve_disk_enabled()
+    assert cache_module.cache_enabled()
 
 
 def _failing_replace(src, dst):

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.litmus.generate import GeneratorConfig, random_corpus, random_program
-from repro.memory import explore_promising, explore_sc
+from repro.memory import explore_promising, explore_sc, explore_tso
 from repro.memory.sampling import sample_behaviors
-from repro.memory.semantics import ModelConfig, PROMISING_ARM, SC
+from repro.memory.semantics import ModelConfig, PROMISING_ARM, SC, TSO
 
 
 class TestGenerator:
@@ -62,6 +62,35 @@ class TestSampling:
         sampled = sample_behaviors(program, SC, runs=30, seed=2)
         exhaustive_sc = explore_sc(program)
         assert sampled.behaviors <= exhaustive_sc.behaviors
+
+    def test_tso_walks_drain_their_store_buffers(self):
+        """Under TSO a walk ends only once every store buffer has
+        flushed, so the walks must take the flush steps too."""
+        from repro.litmus import full_corpus
+        from repro.memory.behaviors import admits
+
+        (sb,) = [t for t in full_corpus() if t.name == "SB"]
+        exhaustive = explore_tso(sb.program)
+        sampled = sample_behaviors(sb.program, TSO, runs=200, seed=1)
+        assert sampled.behaviors
+        assert sampled.behaviors <= exhaustive.behaviors
+        assert admits(sampled, t0_r0=0, t1_r1=0)   # store buffering
+
+    def test_model_knob_retargets_sampling(self, monkeypatch):
+        """``REPRO_MODEL`` re-targets a relaxed walk, as it does every
+        exhaustive exploration: SB's relaxed outcome, which Arm walks
+        find, is gone under ``sc``."""
+        from repro.litmus import full_corpus
+        from repro.memory.behaviors import admits
+
+        (sb,) = [t for t in full_corpus() if t.name == "SB"]
+        arm = sample_behaviors(sb.program, PROMISING_ARM, runs=100, seed=1)
+        assert admits(arm, t0_r0=0, t1_r1=0)
+        monkeypatch.setenv("REPRO_MODEL", "sc")
+        sampled = sample_behaviors(sb.program, PROMISING_ARM, runs=100,
+                                   seed=1)
+        assert sampled.behaviors
+        assert sampled.behaviors <= explore_sc(sb.program).behaviors
 
     def test_deterministic_given_seed(self):
         program = random_program(9)

@@ -1,9 +1,11 @@
 """Verification-as-a-service: content-addressed job parsing, the hot
-tier's LRU eviction policy, admission control, and the server pipeline
-(dedup → coalesce → admission → bounded queue → workers) end to end,
-over both the programmatic API and real HTTP."""
+tier's LRU eviction policy, the server pipeline (dedup → coalesce →
+bounded queue → workers) end to end over both the programmatic API and
+real HTTP, worker loss, and the ``repro serve`` flags."""
 
 import asyncio
+import os
+import signal
 
 import pytest
 
@@ -19,14 +21,8 @@ from repro.serve import (
     execute_job,
     parse_job,
 )
-from repro.serve.admission import (
-    QUEUE_SHED,
-    TENANT_BUDGET_EXHAUSTED,
-    AdmissionControl,
-    TokenBucket,
-    shed_error,
-)
 from repro.serve.hot_tier import HotTier
+from repro.serve.server import QUEUE_SHED, shed_error
 from repro.serve.traffic import run_traffic, synthetic_workload
 from repro.serve.workers import WorkerPool
 
@@ -248,43 +244,10 @@ class TestHotTier:
 
 
 # ---------------------------------------------------------------------------
-# admission control
+# the bounded queue's refusal
 # ---------------------------------------------------------------------------
 
 class TestAdmission:
-    def test_token_bucket_spends_and_refills(self):
-        clock = {"now": 0.0}
-        bucket = TokenBucket(rate=1.0, burst=2.0,
-                             clock=lambda: clock["now"])
-        assert bucket.try_take() and bucket.try_take()
-        assert not bucket.try_take()                 # drained
-        assert bucket.retry_after() == pytest.approx(1.0)
-        clock["now"] = 1.0
-        assert bucket.try_take()                     # refilled 1 token
-        clock["now"] = 100.0
-        bucket.try_take()
-        assert bucket.retry_after() <= 1.0           # capped at burst
-
-    def test_rate_zero_disables_throttling(self):
-        control = AdmissionControl(rate=0.0, burst=1.0)
-        for _ in range(100):
-            assert control.admit("anyone") is None
-        assert control.stats()["admitted"] == 100
-
-    def test_tenants_are_throttled_independently(self):
-        clock = {"now": 0.0}
-        control = AdmissionControl(rate=1.0, burst=1.0,
-                                   clock=lambda: clock["now"])
-        assert control.admit("alice") is None
-        refusal = control.admit("alice")             # alice is drained
-        assert refusal["error"]["type"] == TENANT_BUDGET_EXHAUSTED
-        assert refusal["error"]["tenant"] == "alice"
-        assert refusal["error"]["retry_after_seconds"] > 0
-        assert control.admit("bob") is None          # bob is unaffected
-        assert control.stats() == {
-            "tenants": 2, "admitted": 2, "throttled": 1,
-        }
-
     def test_shed_error_shape(self):
         body = shed_error("deadbeef")
         assert body["error"]["type"] == QUEUE_SHED
@@ -296,7 +259,7 @@ class TestAdmission:
 # ---------------------------------------------------------------------------
 
 def _inline_config(**overrides):
-    base = dict(port=0, workers=0, queue_limit=64, tenant_rate=0.0)
+    base = dict(port=0, workers=0, queue_limit=64)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -305,6 +268,18 @@ async def _booted(config):
     server = VerificationServer(config)
     await server.start()
     return server
+
+
+async def _until(probe, timeout=10.0):
+    """Poll *probe* until it returns something truthy; fail on timeout
+    instead of hanging."""
+    async def poll():
+        while True:
+            value = probe()
+            if value:
+                return value
+            await asyncio.sleep(0.01)
+    return await asyncio.wait_for(poll(), timeout)
 
 
 class TestServerPipeline:
@@ -389,26 +364,6 @@ class TestServerPipeline:
                 await server.wait(third)
                 assert first.status == "done" and third.status == "done"
                 assert server.counters["shed"] == 1
-            finally:
-                await server.stop()
-        asyncio.run(scenario())
-
-    def test_warm_traffic_bypasses_a_drained_budget(self):
-        async def scenario():
-            server = await _booted(
-                _inline_config(tenant_rate=1e-9, tenant_burst=1.0)
-            )
-            try:
-                _s, first = server.submit(_explore_body(0))
-                await server.wait(first)       # spent the only token
-                status, refused = server.submit(_explore_body(1))
-                assert status == 429 and refused.status == "shed"
-                assert (refused.error["error"]["type"]
-                        == TENANT_BUDGET_EXHAUSTED)
-                # warm-cache admission control: a repeat of the first
-                # job is served from the hot tier, never throttled
-                status, warm = server.submit(_explore_body(0, name="again"))
-                assert status == 200 and warm.source == "hot"
             finally:
                 await server.stop()
         asyncio.run(scenario())
@@ -509,13 +464,12 @@ class TestForkedPool:
         """With the hot tier and every disk layer off, a repeat job
         must be answered by the *worker process's* in-memory memo —
         the whole point of keeping workers alive between jobs."""
-        monkeypatch.setenv("REPRO_SERVE_DISK", "0")
         monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
 
         async def scenario():
-            server = await _booted(ServeConfig(
-                port=0, workers=1, hot_entries=0,
-            ))
+            server = VerificationServer(ServeConfig(port=0, workers=1))
+            server.hot = HotTier(max_entries=0)
+            await server.start()
             try:
                 _s, cold = server.submit(_explore_body(0, name="cold"))
                 await server.wait(cold)
@@ -540,3 +494,145 @@ class TestForkedPool:
             finally:
                 await server.stop()
         asyncio.run(scenario())
+
+    def test_http_sse_from_a_forked_worker_carries_engine_events(self):
+        """Over real HTTP with a forked worker: a renamed duplicate is
+        answered warm, and the first job's SSE stream carries the
+        engine events the worker bridged across the process boundary."""
+        from repro.serve.client import stream_events, submit_job
+
+        async def scenario():
+            server = await _booted(ServeConfig(port=0, workers=1))
+            host, port = server.config.host, server.port
+            try:
+                status, first = await asyncio.wait_for(submit_job(
+                    host, port, _explore_body(0, name="first")), 60)
+                assert status == 200 and first["source"] == "computed"
+                status, dup = await asyncio.wait_for(submit_job(
+                    host, port, _explore_body(0, name="renamed")), 60)
+                assert status == 200 and dup["source"] == "hot"
+                assert (dup["result"]["behavior_digest"]
+                        == first["result"]["behavior_digest"])
+
+                async def kinds():
+                    return [e["kind"] async for e in stream_events(
+                        host, port, first["job_id"])]
+                seen = await asyncio.wait_for(kinds(), 60)
+                assert seen[0] == "job_queued" and seen[-1] == "job_done"
+                assert "engine_event" in seen
+            finally:
+                await server.stop()
+        asyncio.run(scenario())
+
+    def test_a_worker_killed_while_idle_is_replaced(self):
+        async def scenario():
+            server = await _booted(ServeConfig(port=0, workers=1))
+            try:
+                victim = server._pool._procs[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                await _until(lambda: server.counters.get("lost") == 1)
+                assert server._pool._procs[0].is_alive()
+                assert server._pool._procs[0].pid != victim.pid
+                assert server.stats()["workers"] == 1
+
+                _s, record = server.submit(
+                    {"kind": "litmus", "test": _litmus_name()})
+                await asyncio.wait_for(server.wait(record), 60)
+                assert record.status == "done"
+                assert record.result["passed"] is True
+            finally:
+                await server.stop()
+            assert not server._pool._procs[0].is_alive()
+        asyncio.run(scenario())
+
+    def test_a_worker_killed_mid_job_fails_the_job(self):
+        """The job the dead worker was running fails with a typed
+        ``worker_lost`` (HTTP 500), and the replacement worker serves
+        the next job."""
+        from repro.serve.client import get_stats, submit_job
+
+        async def scenario():
+            server = await _booted(ServeConfig(port=0, workers=1))
+            host, port = server.config.host, server.port
+            try:
+                slow = {"kind": "litmus", "test": "Example2-gen_vmid[buggy]"}
+                reply = asyncio.ensure_future(submit_job(host, port, slow))
+                record = await _until(lambda: next(
+                    iter(server._records.values()), None))
+                # the worker has started: its first engine event is in
+                await _until(lambda: any(
+                    e["kind"] == "engine_event" for e in record.events))
+                assert record.status == "running"
+                os.kill(server._pool._procs[0].pid, signal.SIGKILL)
+
+                status, doc = await asyncio.wait_for(reply, 10)
+                assert status == 500 and doc["status"] == "error"
+                assert doc["error"] == {
+                    "type": "worker_lost", "exit_code": -signal.SIGKILL,
+                }
+                stats = await asyncio.wait_for(get_stats(host, port), 10)
+                assert stats["counters"]["lost"] == 1
+                assert stats["counters"]["errors"] == 0
+                assert stats["workers"] == 1
+
+                status, doc = await asyncio.wait_for(submit_job(
+                    host, port, {"kind": "litmus", "test": _litmus_name()}),
+                    60)
+                assert status == 200 and doc["source"] == "computed"
+            finally:
+                await server.stop()
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# the ``repro serve`` command line
+# ---------------------------------------------------------------------------
+
+class TestServeCli:
+    def test_flags_reach_the_server_config(self, monkeypatch):
+        from repro.cli import main
+        from repro.serve import server
+
+        seen = []
+
+        async def fake_run_server(config):
+            seen.append(config)
+
+        monkeypatch.setattr(server, "run_server", fake_run_server)
+        assert main(["serve", "--host", "0.0.0.0", "--port", "9001",
+                     "--workers", "3", "--queue-limit", "7"]) == 0
+        assert seen == [ServeConfig(host="0.0.0.0", port=9001, workers=3,
+                                    queue_limit=7)]
+        assert main(["serve"]) == 0
+        assert seen[1] == ServeConfig()
+
+    def test_run_server_serves_until_cancelled(self, capsys):
+        from repro.serve.client import get_stats
+        from repro.serve.server import run_server
+
+        async def scenario():
+            task = asyncio.ensure_future(
+                run_server(ServeConfig(port=0, workers=0)))
+            out = []
+
+            def banner():
+                out.append(capsys.readouterr().out)
+                return "listening on" in "".join(out)
+            await _until(banner)
+            port = int("".join(out).split(":")[2].split()[0])
+            stats = await asyncio.wait_for(
+                get_stats("127.0.0.1", port), 10)
+            assert stats["counters"]["submitted"] == 0
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("flag", ["--batch", "--tenant-rate"])
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
