@@ -6,7 +6,13 @@ from repro.mmu.pagetable import (
     PTWrite,
     PageTableLayout,
 )
-from repro.mmu.walker import WalkResult, WalkStatus, walk, walk_memory
+from repro.mmu.walker import (
+    WalkResult,
+    WalkStatus,
+    walk,
+    walk_mapped,
+    walk_memory,
+)
 from repro.mmu.tlb import TLB, TLBStats
 from repro.mmu.smmu import DMAResult, SMMU, SMMUContext
 
@@ -18,6 +24,7 @@ __all__ = [
     "WalkResult",
     "WalkStatus",
     "walk",
+    "walk_mapped",
     "walk_memory",
     "TLB",
     "TLBStats",

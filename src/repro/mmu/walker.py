@@ -2,18 +2,21 @@
 
 The exploration executor embeds its own walker (it must interleave walker
 reads with the relaxed memory system); this module provides the *pure*
-walk used by the Transactional-Page-Table checker: given a read function
-over a memory snapshot, compute the translation outcome.  The checker
-calls it once per subset of reordered page-table writes (Section 3,
-condition 4: under arbitrary reordering, any walk must see the pre-state
-result, the post-state result, or a fault).
+walks over memory snapshots.  :func:`walk` translates one virtual page
+through a read function.  :func:`walk_mapped` translates a whole probe
+set over each of several snapshots, one descent of the table tree per
+snapshot; the Transactional-Page-Table checker hands it the pre-state,
+the post-state and every visibility snapshot of a page-table write
+sequence (Section 3, condition 4: under arbitrary reordering, any walk
+must see the pre-state result, the post-state result, or a fault).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.ir.program import MMUConfig
 
@@ -86,3 +89,53 @@ def walk_memory(
 ) -> WalkResult:
     """Walk over a plain dict snapshot (missing locations read 0)."""
     return walk(lambda loc: memory.get(loc, 0), mmu, vpn, value_mask)
+
+
+def walk_mapped(
+    memories: Iterable[Mapping[int, int]],
+    mmu: MMUConfig,
+    vpns: Iterable[int],
+    value_mask: int = -1,
+) -> List[Dict[int, int]]:
+    """Per memory snapshot, ``{vpn: ppage}`` for every vpn of *vpns*
+    whose walk over that snapshot does not fault.
+
+    Agrees with :func:`walk_memory` on each vpn (same index arithmetic,
+    so VA bits above the ``levels * va_bits_per_level`` span are
+    ignored; same ``value_mask`` at every level), but descends each
+    snapshot's table tree once for the whole set.  From ``mmu.root``
+    it reads only the indices some vpn uses under the current prefix
+    and follows only non-zero entries, so a zero entry cuts every vpn
+    below it with one read and a sparse vpn set over a wide table reads
+    a handful of entries, not whole tables.  The vpns are sorted once
+    for all the snapshots.
+    """
+    bits = mmu.va_bits_per_level
+    idx_mask = (1 << bits) - 1
+    # Sorted, the vpns below any table entry form one contiguous run,
+    # found by bisecting for the first vpn past the entry's VA range.
+    pages = sorted(set(vpns))
+    last = mmu.levels - 1
+
+    # ``get`` (the snapshot's reader) and ``leaves`` (its result) are
+    # bound per snapshot in the loop below.
+    def descend(level: int, table: int, lo: int, hi: int) -> None:
+        shift = bits * (last - level)
+        while lo < hi:
+            prefix = pages[lo] >> shift
+            end = bisect_left(pages, (prefix + 1) << shift, lo, hi)
+            entry = get(table + (prefix & idx_mask), 0) & value_mask
+            if entry:
+                if level == last:
+                    leaves[pages[lo]] = entry
+                else:
+                    descend(level + 1, entry, lo, end)
+            lo = end
+
+    results: List[Dict[int, int]] = []
+    for memory in memories:
+        get = memory.get
+        leaves: Dict[int, int] = {}
+        descend(0, mmu.root, 0, len(pages))
+        results.append(leaves)
+    return results

@@ -45,6 +45,11 @@ from repro.serve.workers import make_pool
 #: The ``error.type`` of a 429 body: the job was shed from a full queue.
 QUEUE_SHED = "queue_shed"
 
+#: How many finished job records (and their event buffers) the server
+#: keeps for ``GET /v1/jobs/<id>``; older ones answer 404.  Queued and
+#: running jobs are never dropped.
+FINISHED_RECORDS = 1024
+
 
 def shed_error(key: str) -> Dict[str, Any]:
     """The typed 429 body a shed job's waiters receive."""
@@ -135,6 +140,7 @@ class VerificationServer:
             "hits": {}, "misses": {},
         }
         self._records: Dict[str, JobRecord] = {}
+        self._finished: Dict[str, None] = {}     # finished ids, oldest first
         self._inflight: Dict[str, str] = {}      # key -> primary job id
         self._queue: Deque[str] = deque()        # job ids awaiting dispatch
         self._running: Dict[int, Optional[str]] = {}  # widx -> job id
@@ -242,6 +248,25 @@ class VerificationServer:
         record.done.set()
         for sub in record.subscribers:
             sub.put_nowait(None)
+        self._finished[record.id] = None
+        self._drop_old_records()
+
+    def _drop_old_records(self) -> None:
+        """Forget the oldest finished records past
+        :data:`FINISHED_RECORDS`, skipping any whose SSE stream is still
+        draining."""
+        excess = len(self._finished) - FINISHED_RECORDS
+        if excess <= 0:
+            return
+        dropped = []
+        for job_id in self._finished:
+            if not self._records[job_id].subscribers:
+                dropped.append(job_id)
+                if len(dropped) == excess:
+                    break
+        for job_id in dropped:
+            del self._finished[job_id]
+            del self._records[job_id]
 
     def _emit(self, record: JobRecord, event: Dict[str, Any]) -> None:
         record.events.append(event)

@@ -9,9 +9,14 @@ The decision procedure exploits coherence: Armv8 never reorders two
 writes to the *same* location, so a racing walker observes, per entry
 location, some prefix of that location's write sequence — and arbitrary
 cross-location reordering means those prefixes are independent.  The
-checker therefore enumerates every combination of per-location prefixes,
-builds the corresponding memory snapshot, walks each probe address, and
-compares against the pre/post results.
+checker therefore enumerates every combination of per-location prefixes
+and builds the corresponding memory snapshot.  A walk reads one entry
+per level and faults at the first zero one, so only the leaves reachable
+from the root through non-zero entries can yield a result to compare:
+:func:`~repro.mmu.walker.walk_mapped` descends each snapshot's table
+tree once, along the indices the probe addresses use, and every mapped
+leaf is compared against the pre/post results (a fault is always
+allowed).
 
 This is exactly the argument of Section 5.4: ``clear_s2pt`` is a single
 write (trivially transactional), and ``set_s2pt`` writes only freshly
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import VerificationError
 from repro.ir.expr import Imm
@@ -31,7 +38,7 @@ from repro.ir.instructions import Label, Mov, Nop, PTKind, Store
 from repro.ir.program import MMUConfig, Program
 from repro.memory.semantics import PTE_VALUE_MASK
 from repro.mmu.pagetable import PTWrite
-from repro.mmu.walker import WalkResult, walk_memory
+from repro.mmu.walker import WalkResult, walk_mapped
 from repro.vrm.conditions import ConditionResult, WDRFCondition
 
 #: One page-table write: (entry location, new value).
@@ -72,6 +79,12 @@ def enumerate_visibility_snapshots(
     return snapshots
 
 
+def _walk_result(leaves: Mapping[int, int], vpn: int) -> WalkResult:
+    """*vpn*'s walk outcome, given the leaf map of its snapshot."""
+    ppage = leaves.get(vpn)
+    return WalkResult.fault() if ppage is None else WalkResult.ok(ppage)
+
+
 def check_writes_transactional(
     initial: Mapping[int, int],
     writes: Sequence[Write],
@@ -85,33 +98,30 @@ def check_writes_transactional(
     result, or a fault under every visibility snapshot.
     """
     probes = list(probe_vpns)
+    snapshots = enumerate_visibility_snapshots(initial, writes)
     # Mask hardware A/D attribute bits at every level: entries observed
     # from a ``had``-enabled execution may carry them, and an unmasked
     # walk would misread `frame | AF` as a different frame (or a bogus
     # intermediate table pointer) and report a phantom violation.
-    pre = {
-        vpn: walk_memory(initial, mmu, vpn, PTE_VALUE_MASK)
-        for vpn in probes
-    }
-    post_mem = _snapshot(initial, writes)
-    post = {
-        vpn: walk_memory(post_mem, mmu, vpn, PTE_VALUE_MASK)
-        for vpn in probes
-    }
-    violations: List[str] = []
-    snapshots = enumerate_visibility_snapshots(initial, writes)
-    for snap in snapshots:
-        for vpn in probes:
-            result = walk_memory(snap, mmu, vpn, PTE_VALUE_MASK)
-            if result.is_fault:
+    pre, post, *partial = walk_mapped(
+        [initial, _snapshot(initial, writes), *snapshots],
+        mmu,
+        probes,
+        PTE_VALUE_MASK,
+    )
+    violations: Set[str] = set()
+    # Faulting walks are absent from the leaf maps: a fault is always an
+    # allowed outcome, so only the mapped leaves need comparing.
+    for leaves in partial:
+        for vpn, ppage in leaves.items():
+            if ppage == pre.get(vpn) or ppage == post.get(vpn):
                 continue
-            if result == pre[vpn] or result == post[vpn]:
-                continue
-            violations.append(
+            violations.add(
                 f"walk of vpn {vpn:#x} under a partial update reached page "
-                f"{result.ppage:#x} (pre: {pre[vpn]}, post: {post[vpn]})"
+                f"{ppage:#x} (pre: {_walk_result(pre, vpn)}, "
+                f"post: {_walk_result(post, vpn)})"
             )
-    unique = tuple(sorted(set(violations)))
+    unique = tuple(sorted(violations))
     return ConditionResult(
         condition=WDRFCondition.TRANSACTIONAL_PAGE_TABLE,
         holds=not unique,

@@ -360,7 +360,11 @@ def pass_fingerprints(
     units = plan_passes(spec, fuse=fuse, por=por)
     keys: List[str] = []
     for names in units:
-        plans = [_condition_plan(spec, name) for name in names]
+        # A non-exploring check is a singleton unit whose plan would be
+        # its whole verdict: it never has a pass key, so skip running it.
+        plans = [] if names[0] in _NON_EXPLORING else [
+            _condition_plan(spec, name) for name in names
+        ]
         if plans and all(isinstance(p, PassRequest) for p in plans):
             base = plans[0]
             keys.append(

@@ -10,6 +10,7 @@ from repro.mmu import (
     SMMU,
     TLB,
     WalkResult,
+    walk_mapped,
     walk_memory,
 )
 
@@ -63,6 +64,70 @@ class TestPageTableLayout:
     def test_rejects_zero_levels(self):
         with pytest.raises(ProgramError):
             PageTableLayout(base=0, levels=0)
+
+
+class _CountingMemory(dict):
+    """A memory snapshot that counts the entries walks read from it."""
+
+    reads = 0
+
+    def get(self, loc, default=None):
+        self.reads += 1
+        return super().get(loc, default)
+
+
+class TestWalkMapped:
+    """The one-descent tree walk the Transactional-Page-Table checker
+    uses; its agreement with :func:`walk_memory` on random tables is
+    checked in ``tests/test_transactional_differential.py``."""
+
+    def _wide(self):
+        # 4 levels x 9 bits: every table has 512 entries.
+        layout = PageTableLayout(base=0x10000, levels=4, va_bits_per_level=9)
+        mapped = {0x12345: 0x77, 0xABCDEF: 0x88}
+        for vpn, ppage in mapped.items():
+            layout.map(vpn, ppage)
+        return layout, mapped
+
+    def test_sparse_probes_read_only_their_paths(self):
+        layout, mapped = self._wide()
+        fresh = (1 << 36) - 1
+        probes = [*mapped, fresh]
+        pre = _CountingMemory(layout.memory)
+        post = _CountingMemory(layout.memory)
+        for loc, val, _level in layout.plan_map(fresh, 0x99):
+            post[loc] = val
+        leaves = walk_mapped([pre, post], layout.mmu_config(), probes)
+        assert leaves == [mapped, {**mapped, fresh: 0x99}]
+        # At most one read per probe and level: nowhere near the 512
+        # entries of even one table.
+        assert pre.reads <= len(probes) * 4
+        assert post.reads <= len(probes) * 4
+
+    def test_sparse_transactional_check_reads_only_probe_paths(
+        self, monkeypatch
+    ):
+        from repro.vrm import transactional
+
+        layout, mapped = self._wide()
+        fresh = (1 << 36) - 1
+        probes = [*mapped, fresh]
+        writes = [(loc, val) for loc, val, _ in layout.plan_map(fresh, 0x99)]
+        memories = []
+
+        def counting_walk(snapshots, mmu, vpns, value_mask=-1):
+            memories.extend(_CountingMemory(m) for m in snapshots)
+            return walk_mapped(memories, mmu, vpns, value_mask)
+
+        monkeypatch.setattr(transactional, "walk_mapped", counting_walk)
+        result = transactional.check_writes_transactional(
+            layout.memory, writes, layout.mmu_config(), probes
+        )
+        assert result.verified
+        # pre, post and one snapshot per prefix combination of the four
+        # fresh-path writes (2^4).
+        assert len(memories) == 2 + 16
+        assert max(memory.reads for memory in memories) <= len(probes) * 4
 
 
 class TestMultiLevelPageTable:

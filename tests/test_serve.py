@@ -22,7 +22,7 @@ from repro.serve import (
     parse_job,
 )
 from repro.serve.hot_tier import HotTier
-from repro.serve.server import QUEUE_SHED, shed_error
+from repro.serve.server import FINISHED_RECORDS, QUEUE_SHED, shed_error
 from repro.serve.traffic import run_traffic, synthetic_workload
 from repro.serve.workers import WorkerPool
 
@@ -118,6 +118,39 @@ class TestParseJob:
         verified = parse_job({"kind": "wdrf", "case": "gen_vmid[verified]"})
         buggy = parse_job({"kind": "wdrf", "case": "gen_vmid[no-barriers]"})
         assert verified.key != buggy.key
+
+    def test_wdrf_key_does_not_run_the_non_exploring_checks(
+        self, monkeypatch
+    ):
+        """Keying a wDRF job plans its passes but never runs a check
+        that decides without exploring: its unit digest ignores the
+        verdict, so running it would only slow the parse path."""
+        from repro.sekvm.ir_programs import (
+            kcore_buggy_cases, kcore_verified_cases,
+        )
+        from repro.vrm import verifier
+
+        cases = list(kcore_verified_cases(4)) + list(kcore_buggy_cases(4))
+        expected = {
+            (case.name, fuse): verifier.pass_fingerprints(case.spec, fuse=fuse)
+            for case in cases for fuse in (True, False)
+        }
+        body = {"kind": "wdrf", "case": "gen_vmid[verified]"}
+        key = parse_job(body).key
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a non-exploring check ran while keying")
+
+        monkeypatch.setattr(verifier, "check_program_transactional", refuse)
+        monkeypatch.setattr(
+            verifier, "check_sequential_tlb_invalidation", refuse
+        )
+        assert parse_job(body).key == key
+        for case in cases:
+            for fuse in (True, False):
+                assert verifier.pass_fingerprints(
+                    case.spec, fuse=fuse
+                ) == expected[(case.name, fuse)]
 
 
 class TestExecuteIdentity:
@@ -423,6 +456,41 @@ class TestHttpApi:
                 status, err = await get_job(host, server.port, "j999999")
                 assert status == 404
                 assert err["error"]["type"] == "unknown_job"
+            finally:
+                await server.stop()
+        asyncio.run(scenario())
+
+    def test_finished_records_are_capped(self):
+        from repro.serve.client import get_job
+
+        async def scenario():
+            server = await _booted(_inline_config())
+            host = server.config.host
+            try:
+                _s, warm = server.submit(_explore_body(0))
+                await server.wait(warm)
+                # One job running, one queued; no await until every hot
+                # hit is in, so neither can finish in between.
+                _s, running = server.submit(_explore_body(1))
+                _s, queued = server.submit(_explore_body(2))
+                assert (running.status, queued.status) == (
+                    "running", "queued"
+                )
+                hits = [
+                    server.submit(_explore_body(0, name=f"hit-{i}"))[1]
+                    for i in range(FINISHED_RECORDS + 10)
+                ]
+                assert {hit.source for hit in hits} == {"hot"}
+                assert len(server._records) <= FINISHED_RECORDS + 2
+                assert running.id in server._records
+                assert queued.id in server._records
+                status, body = await get_job(host, server.port, hits[0].id)
+                assert status == 404
+                assert body["error"]["type"] == "unknown_job"
+                status, body = await get_job(host, server.port, hits[-1].id)
+                assert status == 200 and body["source"] == "hot"
+                await server.wait(queued)
+                assert running.status == queued.status == "done"
             finally:
                 await server.stop()
         asyncio.run(scenario())
