@@ -211,6 +211,10 @@ class EngineStats:
     * ``fused_conditions`` — monitors beyond the first attached to this
       run, i.e. verification conditions served by an exploration that
       was already being paid for instead of a pass of their own.
+    * ``symmetric_threads`` — threads in a group of two or more
+      interchangeable threads whose states the explorer identified up
+      to a permutation (see :func:`repro.memory.exploration.explore`);
+      0 when the symmetry reduction is off.
     """
 
     certify_calls: int = 0
@@ -226,6 +230,7 @@ class EngineStats:
     por_gate_skips: int = 0
     monitor_stops: int = 0
     fused_conditions: int = 0
+    symmetric_threads: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-ready snapshot (used by the ``bench`` subcommand)."""

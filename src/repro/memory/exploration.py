@@ -29,7 +29,18 @@ search by the ``reduction`` conformance oracle
   tuples, so duplicate detection costs O(changed components) per
   successor rather than O(whole state).  Keys are equal exactly when
   the states are, so ``states_explored`` counts distinct non-doomed
-  states.
+  states (up to the permutations below).
+* **Thread-symmetry reduction** (:func:`_symmetric_key`): threads that
+  run identical code (:meth:`~repro.memory.semantics.ProgramCache.
+  symmetry_groups`, e.g. gen_vmid's CPUs) are interchangeable, so the
+  visited set keys a state up to a permutation within each group, and
+  every valid terminal state adds its behavior under each such
+  permutation.  Exact because the pruned step relation commutes with
+  the permutation and POR keeps every behavior reachable from each
+  state, so a skipped state ``π(s)`` reaches exactly ``π`` of what
+  ``s`` reaches.  Off wherever something reads a thread id
+  (:func:`_symmetry_applies`): monitors, ``keep_terminal_states``,
+  push/pull and ownership, an MMU, VM features.
 
 The result records whether the exploration was *complete* — no path was
 cut by the memory-growth or state-count budget — which the verification
@@ -47,6 +58,7 @@ first violation instead of exhausting the state space.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import config
@@ -57,9 +69,11 @@ from repro.memory.datatypes import (
     EngineStats,
     ExplorationMonitor,
     ExplorationResult,
+    Message,
     latest_write_ts,
     value_at,
 )
+from repro.memory import mutants
 from repro.memory.por import PORPlan, por_worthwhile
 from repro.obs import metrics, tracer
 from repro.memory.semantics import (
@@ -243,6 +257,102 @@ def _same(state: ExecState) -> ExecState:
     return state
 
 
+def _symmetry_applies(
+    program: Program,
+    cfg: ModelConfig,
+    keep_terminal_states: bool,
+    monitors: Optional[Sequence[ExplorationMonitor]],
+) -> bool:
+    """May the explorer identify states up to a permutation of identical
+    threads?  Not where anything reads a thread id: monitors and kept
+    terminal states see whole states, push/pull ownership and its panic
+    text name CPUs, and the TLB and walk-cache keys (any MMU program,
+    any VM feature) carry the CPU's tid."""
+    return not (
+        keep_terminal_states or monitors or cfg.pushpull
+        or cfg.initial_ownership or cfg.owned_access_required
+        or cfg.vm_features or program.mmu is not None
+    )
+
+
+def _orbit(
+    groups: Tuple[Tuple[int, ...], ...], n_threads: int
+) -> List[Tuple[int, ...]]:
+    """Every non-identity permutation within *groups*, as a thread-index
+    tuple: slot ``j`` of the permuted state holds thread ``order[j]``."""
+    orders = [tuple(range(n_threads))]
+    for group in groups:
+        extended = []
+        for order in orders:
+            for image in permutations(group):
+                permuted = list(order)
+                for slot, tidx in zip(group, image):
+                    permuted[slot] = tidx
+                extended.append(tuple(permuted))
+        orders = extended
+    return orders[1:]  # permutations() yields the identity first
+
+
+def _symmetric_key(
+    groups: Tuple[Tuple[int, ...], ...],
+    tids: Tuple[int, ...],
+    interner: Optional[StateInterner],
+):
+    """The visited-set key up to a permutation of identical threads.
+
+    Within each group the thread contexts are sorted, and the timeline's
+    message ``tid``s are renamed to follow their threads to their new
+    slots; the interner code of a renamed timeline is memoized per
+    (timeline code, permutation).  Equal keys mean one state is a
+    permutation of the other.  Sorting may tie between equal contexts
+    and pick either order, which can only leave two states of one orbit
+    apart, never merge two orbits.
+    """
+    n_threads = len(tids)
+    sorted_groups = [list(group) for group in groups]
+    remaps: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    renamed_codes: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    base_key = interner.key if interner is not None else _same
+
+    def renamed(memory, order):
+        remap = remaps.get(order)
+        if remap is None:
+            remap = remaps[order] = {
+                tids[tidx]: tids[slot] for slot, tidx in enumerate(order)
+            }
+        return tuple(
+            Message(ts, loc, val, remap[tid], promised)
+            for ts, loc, val, tid, promised in memory
+        )
+
+    def key(state: ExecState) -> Tuple:
+        threads = state.threads
+        order = None
+        for group in sorted_groups:
+            ranked = sorted(group, key=threads.__getitem__)
+            if ranked != group:
+                if order is None:
+                    order = list(range(n_threads))
+                for slot, tidx in zip(group, ranked):
+                    order[slot] = tidx
+        if order is None:
+            return base_key(state)
+        order = tuple(order)
+        memory = state.memory
+        if interner is None:
+            timeline = renamed(memory, order)
+        else:
+            code = interner.timeline_code(memory)
+            timeline = renamed_codes.get((code, order))
+            if timeline is None:
+                timeline = renamed_codes[(code, order)] = (
+                    interner.timeline_code(renamed(memory, order))
+                )
+        return (timeline, tuple(threads[i] for i in order)) + state[2:]
+
+    return key
+
+
 def _is_valid_terminal(state: ExecState) -> bool:
     """Panic states are always observable; normal termination requires all
     promises fulfilled (an unfulfillable promise is not an execution)."""
@@ -319,6 +429,19 @@ def explore(
     # Without interning (the benchmark baseline) whole states are hashed.
     interner = StateInterner() if interning_enabled() else None
     state_key = interner.key if interner is not None else _same
+    orbit: List[Tuple[int, ...]] = []
+    groups = ()
+    if _symmetry_applies(program, cfg, keep_terminal_states, monitors):
+        groups = cache.symmetry_groups()
+    if groups:
+        stats.symmetric_threads = sum(len(group) for group in groups)
+        state_key = _symmetric_key(
+            groups, tuple(t.tid for t in program.threads), interner
+        )
+        # Seeded bug: keep the reduced search but forget that each
+        # terminal state stands for its whole orbit.
+        if not mutants.enabled("symmetry-skips-orbit"):
+            orbit = _orbit(groups, len(program.threads))
     # One certification memo — and one interner — for the whole run: the
     # outer DFS and every nested certification search share them.
     memo = CertMemo(interner=interner, stats=stats)
@@ -338,6 +461,12 @@ def explore(
         if _is_terminal(state):
             if _is_valid_terminal(state):
                 behaviors.add(behavior_of(cache, state, observe_locs))
+                threads = state.threads
+                for order in orbit:
+                    permuted = tuple(threads[i] for i in order)
+                    behaviors.add(behavior_of(
+                        cache, state._replace(threads=permuted), observe_locs,
+                    ))
                 if keep_terminal_states:
                     terminal_states.append(state)
                 if active:

@@ -74,6 +74,12 @@ mutant is active:
   have no branches, ``Mov`` instructions or panics, so both kills are direct
   :func:`~repro.conformance.oracles.check_program` tests rather than
   fuzzing-matrix rows.
+* ``symmetry-skips-orbit`` — :func:`repro.memory.exploration.explore`
+  keeps its thread-symmetry key but adds each terminal behavior only as
+  reached, not under every permutation of the identical threads: with
+  two identical threads ``r := faa [X]``, the behavior in which thread 1
+  incremented first vanishes.  Killed by the ``reduction`` oracle on
+  that pinned program (random genomes rarely have identical threads).
 
 Active mutants are part of every exploration cache key (see
 :func:`repro.memory.cache.exploration_key`), so a mutated engine can
@@ -99,6 +105,7 @@ KNOWN_MUTANTS: Tuple[str, ...] = (
     "doomed-skips-current-store",
     "await-loop-carried",
     "ample-ignores-panic",
+    "symmetry-skips-orbit",
 )
 
 _active: Set[str] = set()

@@ -246,6 +246,7 @@ class ProgramCache:
         self._doomed: Optional[Tuple] = None
         self._panic_table: object = False  # not built yet
         self._awaits: Dict[bool, Optional[Tuple[Dict[int, int], ...]]] = {}
+        self._symmetry: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def init_value(self, loc: int) -> int:
         return self.initial_memory.get(loc, 0)
@@ -393,6 +394,54 @@ class ProgramCache:
             )
             self._awaits[key] = tables if any(tables) else None
         return self._awaits[key]
+
+    def symmetry_groups(self) -> Tuple[Tuple[int, ...], ...]:
+        """The groups of two or more interchangeable threads, as tuples
+        of thread indices.  Built once.
+
+        Two threads are interchangeable when their instruction lists are
+        equal once labels are resolved to indices (so ``.spin_0_0`` and
+        ``.spin_1_0`` match) and their ``observed`` registers and
+        ``is_kernel`` flags are equal: the step relation then treats
+        them alike except through their ``tid`` (see
+        :func:`repro.memory.exploration.explore` for where the tid is
+        read, and when the explorer therefore ignores these groups).
+        """
+        if self._symmetry is None:
+            shapes: List[Tuple] = []
+            groups: List[List[int]] = []
+            for tidx, thread in enumerate(self.threads):
+                shape = (thread.is_kernel, thread.observed, self._shape(tidx))
+                for rep, members in zip(shapes, groups):
+                    if rep == shape:
+                        members.append(tidx)
+                        break
+                else:
+                    shapes.append(shape)
+                    groups.append([tidx])
+            self._symmetry = tuple(
+                tuple(members) for members in groups if len(members) > 1
+            )
+        return self._symmetry
+
+    def _shape(self, tidx: int) -> Tuple:
+        """Thread *tidx*'s instructions with label names erased and
+        branch targets resolved to instruction indices."""
+        labels = self.labels[tidx]
+        instrs = self.threads[tidx].instrs
+        n = len(instrs)
+        shape: List[object] = []
+        for instr in instrs:
+            if isinstance(instr, Label):
+                shape.append(Label)
+            elif isinstance(instr, (Jump, BranchIfZero, BranchIfNonZero)):
+                shape.append((
+                    type(instr), getattr(instr, "cond", None),
+                    labels.get(instr.target, n),
+                ))
+            else:
+                shape.append(instr)
+        return tuple(shape)
 
     def _await_loops(self, tidx: int, pushpull: bool) -> Dict[int, int]:
         thread = self.threads[tidx]

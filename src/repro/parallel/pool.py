@@ -2,15 +2,21 @@
 
 Design constraints, in order:
 
-1. **Determinism.**  ``Pool.map`` preserves input order, so the merged
-   result list is identical to the serial one no matter how the OS
-   schedules workers.  Nothing here may reorder results.
+1. **Determinism.**  ``Executor.map`` preserves input order, so the
+   merged result list is identical to the serial one no matter how the
+   OS schedules workers.  Nothing here may reorder results.
 2. **Graceful degradation.**  ``jobs<=1``, a single-item batch, or a
-   platform without ``fork`` all run serially in-process; callers never
-   branch on platform.
+   single-CPU machine all run serially in-process; callers never branch
+   on platform.
 3. **Picklability.**  Workers must be module-level callables (or
    :func:`functools.partial` over one); exploration inputs and results
    are plain immutable dataclasses/named-tuples, picklable by design.
+4. **No hang on a dead worker.**  The pool is a
+   :class:`concurrent.futures.ProcessPoolExecutor`: a worker that dies
+   mid-item (killed, ``os._exit``, out of memory) raises
+   :class:`~concurrent.futures.process.BrokenProcessPool` in the caller
+   and the remaining workers are terminated, where a
+   ``multiprocessing.Pool`` would wait for the lost result forever.
 """
 
 from __future__ import annotations
@@ -169,11 +175,19 @@ def parallel_map(
     sink is installed, each worker records its item's events and the
     parent re-emits them into its sink in input order, so a ``--trace``
     file covers the pool too.
+
+    A worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool` here instead
+    of hanging the caller.
     """
     batch = list(items)
     plan = plan_jobs(jobs, len(batch))
     if plan.workers <= 1:
         return [fn(item) for item in batch]
+    # Imported here: concurrent.futures.process adds about 20 ms to
+    # every interpreter start, and serial runs never need it.
+    from concurrent.futures import ProcessPoolExecutor
+
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else None
     ctx = multiprocessing.get_context(method)
@@ -185,8 +199,11 @@ def parallel_map(
     collect_metrics = metrics.metrics_enabled()
     if collect_metrics:
         work = functools.partial(_run_with_metrics, work)
-    with ctx.Pool(processes=plan.workers) as pool:
-        results = pool.map(work, batch)
+    # Pool.map's chunking: about four chunks per worker.
+    chunksize, extra = divmod(len(batch), plan.workers * 4)
+    chunksize += bool(extra)
+    with ProcessPoolExecutor(plan.workers, mp_context=ctx) as pool:
+        results = list(pool.map(work, batch, chunksize=chunksize))
     if collect_metrics:
         for _, snap in results:
             metrics.REGISTRY.merge(snap)

@@ -114,8 +114,9 @@ class TestTSOPortabilityKills:
 
 
 class TestReductionGateKills:
-    """Fuzz genomes have no branches, ``Mov`` instructions or panics, so
-    the two reduction-gate mutants are killed on pinned programs."""
+    """Fuzz genomes have no branches, ``Mov`` instructions or panics,
+    and rarely two identical threads, so the reduction-gate and
+    symmetry mutants are killed on pinned programs."""
 
     def test_await_loop_carried_is_killed_by_reduction(self):
         from tests.test_await_reduction import pointer_chasing_program
@@ -140,6 +141,23 @@ class TestReductionGateKills:
             found = check_program(program, ("por",))
         assert [d.oracle for d in found] == ["por"], found
         assert "unreduced-only: {t0.r0=None; PANIC(boom)}" in found[0].detail
+
+    def test_symmetry_skips_orbit_is_killed_by_reduction(self):
+        from repro.ir import ThreadBuilder, build_program
+
+        threads = []
+        for tid in range(2):
+            b = ThreadBuilder(tid)
+            b.faa("r", 0x40)
+            threads.append(b)
+        program = build_program(
+            threads, observed={0: ["r"], 1: ["r"]}, initial_memory={0x40: 0},
+        )
+        assert check_program(program, ("reduction",)) == []
+        with mutants.seeded("symmetry-skips-orbit"):
+            found = check_program(program, ("reduction",))
+        assert [d.oracle for d in found] == ["reduction"], found
+        assert "reference-only: {t0.r=1, t1.r=0;" in found[0].detail
 
 
 class TestTSOCrossCheck:

@@ -4,11 +4,19 @@ exploration cache, and the multiprocess harness may change cost, never
 results.  These tests pin that down against the serial unreduced
 baseline."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.conformance.oracles import check_program
 from repro.ir import ThreadBuilder, build_program
-from repro.litmus.catalog import full_corpus
+from repro.litmus.catalog import example2_gen_vmid, full_corpus
 from repro.litmus.runner import SC_CFG, rm_config, run_corpus, run_litmus
 from repro.memory import (
     ModelConfig,
@@ -18,9 +26,19 @@ from repro.memory import (
     parse_register_key,
 )
 from repro.memory.cache import exploration_key
-from repro.parallel import available_cpus, parallel_map, resolve_jobs
+from repro.parallel import available_cpus, parallel_map, plan_jobs, resolve_jobs
 
 X, Y = 0x10, 0x20
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _running(pid):
+    """Is *pid* a live (not exited, not zombie) process?"""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestPORCrossCheck:
@@ -65,12 +83,17 @@ class TestPORCrossCheck:
             [t0, t1], observed={0: ["r0"], 1: ["r1"]},
             initial_memory={X: 0, Y: 0},
         )
+        # gen_vmid's two CPUs run the same code: the visited set is
+        # keyed up to a swap of them, with or without interning.
+        symmetric = example2_gen_vmid(True)
         cfg = ModelConfig(relaxed=True)
-        interned = explore(program, cfg)
+        interned = [explore(p, cfg) for p in (program, symmetric)]
+        assert interned[1].stats.symmetric_threads == 2
         monkeypatch.setenv("REPRO_INTERN", "0")
-        plain = explore(program, cfg)
-        assert interned.behaviors == plain.behaviors
-        assert interned.states_explored == plain.states_explored
+        for p, on in zip((program, symmetric), interned):
+            off = explore(p, cfg)
+            assert on.behaviors == off.behaviors
+            assert on.states_explored == off.states_explored
 
 
 class TestBudgetAccounting:
@@ -123,6 +146,46 @@ class TestParallelHarness:
         calls = []
         assert parallel_map(calls.append, [1, 2, 3], jobs=1) == [None] * 3
         assert calls == [1, 2, 3]
+
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
+        """A worker that dies mid-item fails the whole map with
+        ``BrokenProcessPool`` and leaves no worker behind.  Run in a
+        child interpreter with a timeout, since the failure being
+        guarded against is a hang."""
+        if plan_jobs(2, 4).workers < 2:
+            pytest.skip("one CPU: parallel_map runs serially in-process")
+        script = textwrap.dedent(f"""
+            import os, sys
+            from repro.parallel import parallel_map
+
+            def work(item):
+                open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+                if item == 2:
+                    os._exit(3)
+                return item
+
+            parallel_map(work, range(4), jobs=2)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            _out, err = child.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("parallel_map hung after a worker died")
+        assert child.returncode != 0
+        assert "BrokenProcessPool" in err, err
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        assert workers
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a pool worker outlived the map"
+            time.sleep(0.05)
 
 
 class TestExplorationCache:

@@ -223,13 +223,14 @@ class TestCounts:
         }
 
     @pytest.mark.parametrize("correct,states,pruned,ample", [
-        (False, 25_057, 1_880, 11_372),
-        (True, 2_003, 350, 904),
+        (False, 12_529, 940, 5_686),
+        (True, 1_002, 175, 452),
     ], ids=["buggy", "fixed"])
     def test_gen_vmid_counts(self, correct, states, pruned, ample):
         """Await-loop pruning and local-step POR take ``gen_vmid``'s
-        Arm exploration from 51,421 states (buggy) and 4,583 (fixed)
-        to these exact counts."""
+        Arm exploration from 51,421 states (buggy) and 4,583 (fixed) to
+        25,057 and 2,003; identifying states up to a swap of its two
+        identical CPUs halves those to these exact counts."""
         test = catalog.example2(correct)
         _sc, rm = litmus_configs(test)
         result = explore(test.program, rm, por=True)
@@ -237,3 +238,4 @@ class TestCounts:
         assert result.states_explored == states
         assert result.stats.await_pruned == pruned
         assert result.stats.por_ample_hits == ample
+        assert result.stats.symmetric_threads == 2
