@@ -104,7 +104,8 @@ def replay_entry(
     An empty list means the disagreement no longer reproduces — either
     the bug was fixed or the engine changed; compare the entry's
     ``engine`` fingerprint against :func:`engine_fingerprint` to tell
-    which story the replay is telling.
+    which story the replay is telling.  An ``inconclusive`` entry means
+    a search budget cut the replay before it compared anything.
     """
     genome_json = None
     if use_shrunk:

@@ -105,6 +105,9 @@ class FuzzReport:
     findings: List[FuzzFinding] = field(default_factory=list)
     coverage: CoverageMap = field(default_factory=CoverageMap)
     elapsed: float = 0.0
+    #: Checks a budget cut before they compared anything: neither
+    #: findings nor agreements, so never shrunk or saved to the corpus.
+    inconclusive: int = 0
 
     @property
     def ok(self) -> bool:
@@ -122,12 +125,19 @@ class FuzzReport:
         if self.findings:
             lines.append(f"{len(self.findings)} DISAGREEMENT(S):")
             lines.extend("  " + f.describe() for f in self.findings)
+        elif self.inconclusive:
+            lines.append("no oracle disagreed on a check it completed")
         else:
             lines.append(
                 "all oracles agreed: containment, portability, "
                 "equivalence, axiomatic agreement, engine-config "
                 "identity, reduction soundness, monitor truth, "
                 "vm discipline"
+            )
+        if self.inconclusive:
+            lines.append(
+                f"{self.inconclusive} check(s) INCONCLUSIVE: a search "
+                f"budget cut them before they compared anything"
             )
         return "\n".join(lines)
 
@@ -216,13 +226,13 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         else:
             disagreements = check_genome(genome, oracles=oracles, heavy=heavy)
         _record_principal_explorations(genome, report.coverage)
+        findings = [d for d in disagreements if not d.inconclusive]
+        report.inconclusive += len(disagreements) - len(findings)
         if metrics.ENABLED:
             metrics.REGISTRY.counter("fuzz.programs").inc()
-            if disagreements:
-                metrics.REGISTRY.counter("fuzz.findings").inc(
-                    len(disagreements)
-                )
-        for disagreement in disagreements:
+            if findings:
+                metrics.REGISTRY.counter("fuzz.findings").inc(len(findings))
+        for disagreement in findings:
             shrunk: Optional[Genome] = None
             if config.shrink:
                 shrunk = shrink(
@@ -289,6 +299,7 @@ def fuzz_parallel(config: FuzzConfig, jobs: Optional[int]) -> FuzzReport:
     merged = FuzzReport(config=config)
     for part in parallel_map(_run_chunk, configs, jobs=workers):
         merged.programs += part.programs
+        merged.inconclusive += part.inconclusive
         merged.findings.extend(part.findings)
         merged.coverage.merge(part.coverage)
         merged.elapsed = max(merged.elapsed, part.elapsed)

@@ -34,12 +34,12 @@ bug, never on an expected relaxed-memory effect:
     serial evaluation must each produce bit-identical behavior sets.
 ``reduction``
     The explorer's state-space reductions — doomed-state pruning,
-    await-loop pruning, partial-order reduction and the certification
-    memo — keep the relaxed behavior set: a minimal reference DFS over
-    the bare step relation (every thread scheduled, nothing pruned, no
-    memo) must reach exactly the same behaviors.  Given a wDRF spec, the spec's
-    push/pull configuration (the DRF-Kernel pass's model) is compared
-    too.
+    await-loop pruning, partial-order reduction, thread symmetry and
+    the certification memo — keep the relaxed behavior set: a minimal
+    reference DFS over the bare step relation (every thread scheduled,
+    nothing pruned, no memo) must reach exactly the same behaviors.
+    Given a wDRF spec, the spec's push/pull configuration (the
+    DRF-Kernel pass's model) is compared too.
 ``vm_neutral``
     The relaxed-virtual-memory feature families only change programs
     that use the MMU: an MMU-free program has the same behavior set
@@ -82,6 +82,11 @@ WDRFSpec`); :func:`check_genome` selects the sound subset for a
 genome's profile (plus the expensive ``fuse``/``jobs`` oracles when
 asked) and is the single entry point used by the fuzzing engine, the
 shrinker, and the corpus replayer.
+
+A check whose searches a budget cut (``reduction``, ``vm_neutral``, and
+``monitor`` when the cut search found no panic) compared nothing: it
+returns an *inconclusive* :class:`Disagreement` naming the search and
+the budget, which the fuzzer counts apart and never shrinks or saves.
 """
 
 from __future__ import annotations
@@ -188,14 +193,41 @@ _HEAVY_ORACLES = {
 
 @dataclass(frozen=True)
 class Disagreement:
-    """One violated conformance relation, with a human-readable diff."""
+    """One violated conformance relation, with a human-readable diff.
+
+    With ``inconclusive`` set it is the third outcome instead: a budget
+    cut one of the searches the oracle compares, so the check compared
+    nothing and neither agrees nor disagrees; *detail* names the search
+    and the budget that cut it.
+    """
 
     oracle: str
     detail: str
+    inconclusive: bool = False
 
     def describe(self) -> str:
         """One line naming the oracle and its verdict."""
-        return f"[{self.oracle}] {self.detail}"
+        verdict = "inconclusive: " if self.inconclusive else ""
+        return f"[{self.oracle}] {verdict}{self.detail}"
+
+
+def _budget_cut(
+    oracle: str, search: str, result: ExplorationResult, cfg: ModelConfig
+) -> Disagreement:
+    """The inconclusive outcome of *oracle* when *search* (which ran
+    under *cfg*) stopped short of a complete exploration."""
+    if result.states_explored >= cfg.max_states:
+        budget = f"max_states={cfg.max_states}"
+    elif result.stats is not None and result.stats.cert_budget_hits:
+        budget = f"cert_max_states={cfg.cert_max_states}"
+    else:
+        budget = f"max_memory={cfg.max_memory}"
+    return Disagreement(
+        oracle=oracle,
+        detail=f"{search} was cut by {budget} after "
+        f"{result.states_explored} states, so nothing was compared",
+        inconclusive=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -492,7 +524,16 @@ def _check_vm_neutral(subject: Subject) -> List[Disagreement]:
             subject.program, dataclasses.replace(cfg, vm_features=frozenset()),
             observe_locs=subject.observe,
         )
-        if not (featured.complete and stripped.complete):
+        cut = [
+            (name, result) for name, result in (
+                ("featured", featured), ("stripped", stripped),
+            ) if not result.complete
+        ]
+        if cut:
+            name, result = cut[0]
+            out.append(_budget_cut(
+                "vm_neutral", f"the {name} {label} search", result, cfg,
+            ))
             continue
         diff = _behaviors_diff("featured", featured, "stripped", stripped)
         if diff:
@@ -631,9 +672,15 @@ def _check_reduction(subject: Subject) -> List[Disagreement]:
         reduced = cached_explore(subject.program, cfg,
                                  observe_locs=subject.observe)
         if not reduced.complete:
+            out.append(_budget_cut(
+                "reduction", f"the explorer's {label} search", reduced, cfg,
+            ))
             continue
         reference = _reference_explore(subject.program, cfg, subject.observe)
         if not reference.complete:
+            out.append(_budget_cut(
+                "reduction", f"the reference {label} search", reference, cfg,
+            ))
             continue
         diff = _behaviors_diff("explorer", reduced, "reference", reference)
         if diff:
@@ -691,6 +738,10 @@ def _check_monitor(subject: Subject) -> List[Disagreement]:
             "DRF violation" in b.panic or "push/pull violation" in b.panic
         )
     })
+    if not panics and not truth.complete:
+        return [_budget_cut(
+            "monitor", "the monitor-free push/pull search", truth, plan.cfg,
+        )]
     truth_holds = not panics
     if verdict.holds == truth_holds:
         return []
@@ -735,6 +786,10 @@ def check_program(
     rm: ModelConfig = PROMISING_ARM,
 ) -> List[Disagreement]:
     """Run the named oracles on *program*; [] means full agreement.
+
+    Each entry is a disagreement or, with ``inconclusive`` set, a check
+    that a budget cut before it compared anything (see
+    :class:`Disagreement`): never read as agreement, never a finding.
 
     *spec* (whose program must be *program*) adds the spec's wDRF passes
     to the spec-aware oracles (``backend``, ``fuse``, ``monitor``); *sc*/*rm* are the two model configurations the

@@ -52,7 +52,7 @@ def oracle_predicate(oracle: str) -> Predicate:
     def predicate(genome: Genome) -> bool:
         """True when the candidate still reproduces the finding."""
         return any(
-            d.oracle == oracle
+            d.oracle == oracle and not d.inconclusive
             for d in check_genome(genome, oracles=(oracle,))
         )
 

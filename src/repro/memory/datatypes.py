@@ -109,10 +109,23 @@ class ExplorationMonitor:
     :func:`repro.memory.cache.cached_explore` list their own mutable
     fields in ``extra_state`` (picklable values only) and give distinct
     parameterizations distinct :meth:`fingerprint` strings.
+
+    Symmetry contract: a subclass sets ``symmetric = True`` only when
+    its verdict is the same on every search that reaches the same
+    terminal states up to a renaming of identical CPUs.  The explorer
+    may then key states up to such a renaming
+    (:func:`repro.memory.exploration._symmetry_applies`), and the
+    monitor sees one representative of each orbit, so it may stop at a
+    counterexample whose CPU ids are renamed within a group.  A monitor
+    whose verdict depends only on *whether* some panic of a kind is
+    reachable qualifies; one that reads which CPU did what does not.
     """
 
     #: Stable identity of the monitor class for cache fingerprints.
     kind: str = "monitor"
+    #: True when the verdict is invariant under renaming identical CPUs
+    #: (see the symmetry contract above); off by default.
+    symmetric: bool = False
     #: Subclass-owned mutable fields included in snapshot()/restore().
     extra_state: Tuple[str, ...] = ()
 
@@ -143,7 +156,7 @@ class ExplorationMonitor:
         self.states_seen = states_explored
         if state.panic is not None:
             self.panics_seen += 1
-            self.on_panic(state.panic, state)
+            self.on_panic(str(state.panic), state)
         else:
             self.terminals_seen += 1
             self.on_terminal(state)

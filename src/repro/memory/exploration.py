@@ -38,9 +38,11 @@ search by the ``reduction`` conformance oracle
   permutation.  Exact because the pruned step relation commutes with
   the permutation and POR keeps every behavior reachable from each
   state, so a skipped state ``π(s)`` reaches exactly ``π`` of what
-  ``s`` reaches.  Off wherever something reads a thread id
-  (:func:`_symmetry_applies`): monitors, ``keep_terminal_states``,
-  push/pull and ownership, an MMU, VM features.
+  ``s`` reaches.  The push/pull owners and the CPUs a push/pull panic
+  names are renamed with the threads.  Off wherever a thread id is read
+  that is not renamed (:func:`_symmetry_applies`):
+  ``keep_terminal_states``, a monitor that is not ``symmetric``,
+  ``initial_ownership``, an MMU, VM features.
 
 The result records whether the exploration was *complete* — no path was
 cut by the memory-growth or state-count budget — which the verification
@@ -82,6 +84,7 @@ from repro.memory.semantics import (
     ProgramCache,
     execute_instruction,
     promise_steps,
+    rename_panic,
     resolve_model,
     resolve_vm_features,
     tso_flush_steps,
@@ -115,11 +118,13 @@ def behavior_of(
     for loc in observe_locs:
         ts = latest_write_ts(state.memory, loc)
         memory.append((loc, value_at(state.memory, loc, ts, cache.init_value(loc))))
+    panic = state.panic
     return Behavior(
         registers=tuple(registers),
         memory=tuple(memory),
         faults=tuple(sorted(state.faults)),
-        panic=state.panic,
+        # Plain text: a behavior never carries a CpuPanic's fields.
+        panic=None if panic is None else str(panic),
     )
 
 
@@ -264,23 +269,32 @@ def _symmetry_applies(
     monitors: Optional[Sequence[ExplorationMonitor]],
 ) -> bool:
     """May the explorer identify states up to a permutation of identical
-    threads?  Not where anything reads a thread id: monitors and kept
-    terminal states see whole states, push/pull ownership and its panic
-    text name CPUs, and the TLB and walk-cache keys (any MMU program,
-    any VM feature) carry the CPU's tid."""
+    threads?  Push/pull ownership and its panic texts name CPUs, but
+    :func:`_symmetric_key` and the terminal closure rename them along
+    with the threads.  Not where a tid is read that they do not rename:
+    kept terminal states, a monitor that is not ``symmetric``,
+    ``initial_ownership`` (it pins a location to one CPU), and the TLB
+    and walk-cache keys (any MMU program, any VM feature)."""
     return not (
-        keep_terminal_states or monitors or cfg.pushpull
-        or cfg.initial_ownership or cfg.owned_access_required
-        or cfg.vm_features or program.mmu is not None
+        keep_terminal_states or cfg.initial_ownership or cfg.vm_features
+        or program.mmu is not None
+        or any(not monitor.symmetric for monitor in monitors or ())
     )
 
 
+def _remap(order: Tuple[int, ...], tids: Tuple[int, ...]) -> Dict[int, int]:
+    """The tid renaming of the permutation *order*: the thread at index
+    ``order[slot]`` moves to ``slot`` and takes that slot's tid."""
+    return {tids[tidx]: tids[slot] for slot, tidx in enumerate(order)}
+
+
 def _orbit(
-    groups: Tuple[Tuple[int, ...], ...], n_threads: int
-) -> List[Tuple[int, ...]]:
+    groups: Tuple[Tuple[int, ...], ...], tids: Tuple[int, ...]
+) -> List[Tuple[Tuple[int, ...], Dict[int, int]]]:
     """Every non-identity permutation within *groups*, as a thread-index
-    tuple: slot ``j`` of the permuted state holds thread ``order[j]``."""
-    orders = [tuple(range(n_threads))]
+    tuple (slot ``j`` of the permuted state holds thread ``order[j]``)
+    with its tid renaming (:func:`_remap`)."""
+    orders = [tuple(range(len(tids)))]
     for group in groups:
         extended = []
         for order in orders:
@@ -290,7 +304,13 @@ def _orbit(
                     permuted[slot] = tidx
                 extended.append(tuple(permuted))
         orders = extended
-    return orders[1:]  # permutations() yields the identity first
+    # permutations() yields the identity first
+    return [(order, _remap(order, tids)) for order in orders[1:]]
+
+
+def _renamed_owners(pairs, remap: Dict[int, int]):
+    """``(loc, tid)`` pairs with every tid mapped through *remap*."""
+    return tuple((loc, remap[tid]) for loc, tid in pairs)
 
 
 def _symmetric_key(
@@ -300,13 +320,15 @@ def _symmetric_key(
 ):
     """The visited-set key up to a permutation of identical threads.
 
-    Within each group the thread contexts are sorted, and the timeline's
-    message ``tid``s are renamed to follow their threads to their new
-    slots; the interner code of a renamed timeline is memoized per
-    (timeline code, permutation).  Equal keys mean one state is a
-    permutation of the other.  Sorting may tie between equal contexts
-    and pick either order, which can only leave two states of one orbit
-    apart, never merge two orbits.
+    Within each group the thread contexts are sorted, and every tid the
+    state records follows its thread to the new slot: the timeline's
+    message ``tid``s, the owners in ``ownership`` and
+    ``pending_release``, and the CPUs a push/pull panic names
+    (:func:`~repro.memory.semantics.rename_panic`).  The interner code
+    of a renamed timeline is memoized per (timeline code, permutation).
+    Equal keys mean one state is a permutation of the other.  Sorting
+    may tie between equal contexts and pick either order, which can only
+    leave two states of one orbit apart, never merge two orbits.
     """
     n_threads = len(tids)
     sorted_groups = [list(group) for group in groups]
@@ -314,12 +336,14 @@ def _symmetric_key(
     renamed_codes: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     base_key = interner.key if interner is not None else _same
 
-    def renamed(memory, order):
+    def remap_of(order):
         remap = remaps.get(order)
         if remap is None:
-            remap = remaps[order] = {
-                tids[tidx]: tids[slot] for slot, tidx in enumerate(order)
-            }
+            remap = remaps[order] = _remap(order, tids)
+        return remap
+
+    def renamed(memory, order):
+        remap = remap_of(order)
         return tuple(
             Message(ts, loc, val, remap[tid], promised)
             for ts, loc, val, tid, promised in memory
@@ -348,7 +372,17 @@ def _symmetric_key(
                 timeline = renamed_codes[(code, order)] = (
                     interner.timeline_code(renamed(memory, order))
                 )
-        return (timeline, tuple(threads[i] for i in order)) + state[2:]
+        rest = state[2:]
+        if state.ownership or state.pending_release or state.panic:
+            remap = remap_of(order)
+            rest = (
+                state.tlb, state.walker_floor,
+                _renamed_owners(state.ownership, remap), state.push_ts,
+                state.faults, rename_panic(state.panic, remap),
+                _renamed_owners(state.pending_release, remap),
+                state.walk_cache, state.s2_walker_floor,
+            )
+        return (timeline, tuple(threads[i] for i in order)) + rest
 
     return key
 
@@ -429,19 +463,21 @@ def explore(
     # Without interning (the benchmark baseline) whole states are hashed.
     interner = StateInterner() if interning_enabled() else None
     state_key = interner.key if interner is not None else _same
-    orbit: List[Tuple[int, ...]] = []
+    orbit: List[Tuple[Tuple[int, ...], Dict[int, int]]] = []
     groups = ()
     if _symmetry_applies(program, cfg, keep_terminal_states, monitors):
         groups = cache.symmetry_groups()
     if groups:
         stats.symmetric_threads = sum(len(group) for group in groups)
-        state_key = _symmetric_key(
-            groups, tuple(t.tid for t in program.threads), interner
-        )
+        tids = tuple(t.tid for t in program.threads)
+        state_key = _symmetric_key(groups, tids, interner)
         # Seeded bug: keep the reduced search but forget that each
         # terminal state stands for its whole orbit.
         if not mutants.enabled("symmetry-skips-orbit"):
-            orbit = _orbit(groups, len(program.threads))
+            orbit = _orbit(groups, tids)
+    # Seeded bug: close terminal behaviors under the orbit but leave the
+    # CPUs a push/pull panic names as reached.
+    keeps_panic_cpu = mutants.enabled("symmetry-keeps-panic-cpu")
     # One certification memo — and one interner — for the whole run: the
     # outer DFS and every nested certification search share them.
     memo = CertMemo(interner=interner, stats=stats)
@@ -462,11 +498,12 @@ def explore(
             if _is_valid_terminal(state):
                 behaviors.add(behavior_of(cache, state, observe_locs))
                 threads = state.threads
-                for order in orbit:
-                    permuted = tuple(threads[i] for i in order)
-                    behaviors.add(behavior_of(
-                        cache, state._replace(threads=permuted), observe_locs,
-                    ))
+                for order, remap in orbit:
+                    behaviors.add(behavior_of(cache, state._replace(
+                        threads=tuple(threads[i] for i in order),
+                        panic=state.panic if keeps_panic_cpu
+                        else rename_panic(state.panic, remap),
+                    ), observe_locs))
                 if keep_terminal_states:
                     terminal_states.append(state)
                 if active:

@@ -80,6 +80,13 @@ mutant is active:
   two identical threads ``r := faa [X]``, the behavior in which thread 1
   incremented first vanishes.  Killed by the ``reduction`` oracle on
   that pinned program (random genomes rarely have identical threads).
+* ``symmetry-keeps-panic-cpu`` — :func:`repro.memory.exploration.explore`
+  closes each terminal behavior under the permutations of identical
+  threads but leaves the CPU ids a push/pull panic names as reached
+  (:func:`repro.memory.semantics.rename_panic` skipped), so a panic that
+  the reduced search reached on one CPU never appears for its twin.
+  Killed by the ``reduction`` oracle's push/pull leg on the SeKVM
+  ``gen_vmid[no-barriers]`` spec.
 
 Active mutants are part of every exploration cache key (see
 :func:`repro.memory.cache.exploration_key`), so a mutated engine can
@@ -106,6 +113,7 @@ KNOWN_MUTANTS: Tuple[str, ...] = (
     "await-loop-carried",
     "ample-ignores-panic",
     "symmetry-skips-orbit",
+    "symmetry-keeps-panic-cpu",
 )
 
 _active: Set[str] = set()

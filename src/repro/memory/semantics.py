@@ -406,22 +406,33 @@ class ProgramCache:
         them alike except through their ``tid`` (see
         :func:`repro.memory.exploration.explore` for where the tid is
         read, and when the explorer therefore ignores these groups).
+        Only threads of equal length are compared, so a program whose
+        threads all differ in length builds no shape at all.
         """
         if self._symmetry is None:
-            shapes: List[Tuple] = []
-            groups: List[List[int]] = []
+            by_length: Dict[Tuple, List[int]] = {}
             for tidx, thread in enumerate(self.threads):
-                shape = (thread.is_kernel, thread.observed, self._shape(tidx))
-                for rep, members in zip(shapes, groups):
-                    if rep == shape:
-                        members.append(tidx)
-                        break
-                else:
-                    shapes.append(shape)
-                    groups.append([tidx])
-            self._symmetry = tuple(
-                tuple(members) for members in groups if len(members) > 1
-            )
+                by_length.setdefault(
+                    (thread.is_kernel, thread.observed, len(thread.instrs)),
+                    [],
+                ).append(tidx)
+            groups: List[Tuple[int, ...]] = []
+            for candidates in by_length.values():
+                if len(candidates) < 2:
+                    continue
+                shapes: List[Tuple] = []
+                members: List[List[int]] = []
+                for tidx in candidates:
+                    shape = self._shape(tidx)
+                    for rep, group in zip(shapes, members):
+                        if rep == shape:
+                            group.append(tidx)
+                            break
+                    else:
+                        shapes.append(shape)
+                        members.append([tidx])
+                groups.extend(tuple(g) for g in members if len(g) > 1)
+            self._symmetry = tuple(sorted(groups))
         return self._symmetry
 
     def _shape(self, tidx: int) -> Tuple:
@@ -725,6 +736,60 @@ def _panic_state(state: ExecState, reason: str) -> ExecState:
     return state._replace(panic=reason)
 
 
+class CpuPanic(str):
+    """A push/pull panic reason that names CPUs.
+
+    Every such reason is built here, from one of :attr:`FORMATS` and the
+    acting CPU's tid, the location and (where the format has one) the
+    owner's tid.  The instance keeps those arguments, so :meth:`renamed`
+    rebuilds the text under a CPU renaming exactly, with no parsing.  It
+    compares and hashes as its text.  A ``Panic`` instruction's reason
+    is a plain ``str`` and is never renamed, whatever it says.
+    """
+
+    FORMATS = {
+        "owned-access": "DRF violation: CPU {cpu} accessed location "
+                        "{loc:#x} owned by CPU {owner}",
+        "unpulled-access": "DRF violation: CPU {cpu} accessed shared "
+                           "location {loc:#x} without pulling it",
+        "owned-pull": "push/pull violation: CPU {cpu} pulled location "
+                      "{loc:#x} owned by CPU {owner}",
+        "unfenced-transfer": "No-Barrier-Misuse violation: CPU {cpu} "
+                             "pulled location {loc:#x} without a barrier "
+                             "covering the owner's accesses",
+        "unfenced-pull": "No-Barrier-Misuse violation: CPU {cpu} pulled "
+                         "location {loc:#x} without a barrier covering "
+                         "its last push",
+        "unowned-push": "push/pull violation: CPU {cpu} pushed location "
+                        "{loc:#x} it does not own (owner: {owner})",
+    }
+
+    def __new__(
+        cls, kind: str, cpu: int, loc: int, owner: Optional[int] = None
+    ) -> "CpuPanic":
+        self = super().__new__(
+            cls, cls.FORMATS[kind].format(cpu=cpu, loc=loc, owner=owner)
+        )
+        self.fields = (kind, cpu, loc, owner)
+        return self
+
+    def __reduce__(self):
+        return (CpuPanic, self.fields)
+
+    def renamed(self, remap: Dict[int, int]) -> "CpuPanic":
+        """The same reason with every CPU tid mapped through *remap*."""
+        kind, cpu, loc, owner = self.fields
+        return CpuPanic(kind, remap[cpu], loc, remap.get(owner, owner))
+
+
+def rename_panic(reason: Optional[str], remap: Dict[int, int]) -> Optional[str]:
+    """*reason* with its CPU tids mapped through *remap* when it is a
+    :class:`CpuPanic`; any other reason (or None) unchanged."""
+    if type(reason) is CpuPanic:
+        return reason.renamed(remap)
+    return reason
+
+
 def _ownership_check(
     state: ExecState,
     cfg: ModelConfig,
@@ -745,15 +810,9 @@ def _ownership_check(
         return None
     owner = tget(state.ownership, loc, None)
     if owner is not None and owner != thread.tid:
-        return (
-            f"DRF violation: CPU {thread.tid} accessed location {loc:#x} "
-            f"owned by CPU {owner}"
-        )
+        return CpuPanic("owned-access", thread.tid, loc, owner)
     if loc in cfg.owned_access_required and owner != thread.tid:
-        return (
-            f"DRF violation: CPU {thread.tid} accessed shared location "
-            f"{loc:#x} without pulling it"
-        )
+        return CpuPanic("unpulled-access", thread.tid, loc)
     return None
 
 
@@ -1519,34 +1578,21 @@ def _exec_pull(cache, state, tidx, cfg, instr: Pull, regs) -> List[ExecState]:
             if owner == thread.tid or not _owner_releases_without_access(
                 cache, state, owner_idx, loc
             ):
-                return [
-                    _panic_state(
-                        state,
-                        f"push/pull violation: CPU {thread.tid} pulled "
-                        f"location {loc:#x} owned by CPU {owner}",
-                    )
-                ]
+                return [_panic_state(
+                    state, CpuPanic("owned-pull", thread.tid, loc, owner)
+                )]
             frontier = tget(state.threads[owner_idx].coh, loc, 0)
             if cfg.check_barrier_fulfillment and ctx.vrn < frontier:
-                return [
-                    _panic_state(
-                        state,
-                        f"No-Barrier-Misuse violation: CPU {thread.tid} "
-                        f"pulled location {loc:#x} without a barrier "
-                        f"covering the owner's accesses",
-                    )
-                ]
+                return [_panic_state(
+                    state, CpuPanic("unfenced-transfer", thread.tid, loc)
+                )]
             pending = tset(pending, loc, owner)
             ownership = tset(ownership, loc, thread.tid)
             continue
         if cfg.check_barrier_fulfillment and ctx.vrn < tget(push_ts, loc, 0):
-            return [
-                _panic_state(
-                    state,
-                    f"No-Barrier-Misuse violation: CPU {thread.tid} pulled "
-                    f"location {loc:#x} without a barrier covering its last push",
-                )
-            ]
+            return [_panic_state(
+                state, CpuPanic("unfenced-pull", thread.tid, loc)
+            )]
         ownership = tset(ownership, loc, thread.tid)
     new_state = state._replace(ownership=ownership, pending_release=pending)
     return [new_state.with_thread(tidx, _advance(cache, tidx, ctx, ctx.pc + 1))]
@@ -1575,13 +1621,9 @@ def _exec_push(cache, state, tidx, cfg, instr: Push, regs) -> List[ExecState]:
             continue
         owner = tget(ownership, loc, None)
         if owner != thread.tid:
-            return [
-                _panic_state(
-                    state,
-                    f"push/pull violation: CPU {thread.tid} pushed location "
-                    f"{loc:#x} it does not own (owner: {owner})",
-                )
-            ]
+            return [_panic_state(
+                state, CpuPanic("unowned-push", thread.tid, loc, owner)
+            )]
         ownership = tdel(ownership, loc)
         # Record the pusher's coherence frontier on the location: the
         # next pull's barrier frontier must cover everything the pusher

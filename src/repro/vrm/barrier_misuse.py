@@ -135,6 +135,9 @@ class BarrierMisuseMonitor(ExplorationMonitor):
     """
 
     kind = "barrier_misuse"
+    # The verdict is "some panic of this kind is reachable", and renaming
+    # CPUs never changes a panic's kind.
+    symmetric = True
     extra_state = ("violations",)
 
     def __init__(self, static: Optional[ConditionResult] = None) -> None:

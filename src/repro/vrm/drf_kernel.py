@@ -47,6 +47,9 @@ class DRFKernelMonitor(ExplorationMonitor):
     """Streams panics; stops at the first ownership violation."""
 
     kind = "drf_kernel"
+    # The verdict is "some panic of this kind is reachable", and renaming
+    # CPUs never changes a panic's kind.
+    symmetric = True
     extra_state = ("violations",)
 
     def __init__(self) -> None:

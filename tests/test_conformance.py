@@ -232,6 +232,35 @@ class TestCorpusReplay:
             assert check_genome(shrunk, oracles=(entry["oracle"],))
 
 
+class TestInconclusive:
+    def test_fuzz_counts_inconclusive_checks_apart(self, tmp_path,
+                                                    monkeypatch):
+        """A budget-cut check is neither a finding nor an agreement: it
+        is counted, never shrunk and never written to the corpus."""
+        from repro.conformance import engine
+        from repro.conformance.oracles import Disagreement
+
+        cut = Disagreement(
+            oracle="reduction", inconclusive=True,
+            detail="the reference RM search was cut by max_states=4",
+        )
+        monkeypatch.setattr(engine, "check_genome", lambda *a, **k: [cut])
+
+        def no_shrink(*args, **kwargs):
+            raise AssertionError("an inconclusive check was shrunk")
+
+        monkeypatch.setattr(engine, "shrink", no_shrink)
+        report = run_fuzz(FuzzConfig(
+            seed=0, budget=3, profiles=("plain",), corpus_dir=str(tmp_path),
+        ))
+        assert report.findings == [] and report.ok
+        assert report.inconclusive == 3
+        assert list(tmp_path.iterdir()) == []
+        summary = report.describe()
+        assert "3 check(s) INCONCLUSIVE" in summary
+        assert "all oracles agreed" not in summary
+
+
 class TestCoverage:
     def test_coverage_reports_new_territory(self):
         cov = CoverageMap()

@@ -7,7 +7,9 @@ pruning, pass fusion, the SAT/BMC backend, the process pool, the VM
 feature gates) is compared with its reference path there.  The fuzzer runs the entries on random genomes; this sweep
 runs every applicable entry on the litmus catalog and the SeKVM KCore
 wDRF specs (``reduction`` there also under each spec's push/pull
-configuration).
+configuration).  A check that a search budget cut before it compared
+anything comes back ``inconclusive`` and fails the sweep like a
+disagreement: a sweep only passes on checks that compared something.
 """
 
 import pytest

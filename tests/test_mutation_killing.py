@@ -142,7 +142,8 @@ class TestReductionGateKills:
         assert [d.oracle for d in found] == ["por"], found
         assert "unreduced-only: {t0.r0=None; PANIC(boom)}" in found[0].detail
 
-    def test_symmetry_skips_orbit_is_killed_by_reduction(self):
+    @staticmethod
+    def _faa_pair():
         from repro.ir import ThreadBuilder, build_program
 
         threads = []
@@ -150,14 +151,52 @@ class TestReductionGateKills:
             b = ThreadBuilder(tid)
             b.faa("r", 0x40)
             threads.append(b)
-        program = build_program(
+        return build_program(
             threads, observed={0: ["r"], 1: ["r"]}, initial_memory={0x40: 0},
         )
+
+    def test_symmetry_skips_orbit_is_killed_by_reduction(self):
+        program = self._faa_pair()
         assert check_program(program, ("reduction",)) == []
         with mutants.seeded("symmetry-skips-orbit"):
             found = check_program(program, ("reduction",))
         assert [d.oracle for d in found] == ["reduction"], found
         assert "reference-only: {t0.r=1, t1.r=0;" in found[0].detail
+
+    def test_a_budget_cut_check_is_inconclusive_not_agreement(self):
+        """At ``max_states=4`` the mutated search completes in 3 states
+        but the reference does not: nothing was compared, so the check
+        must say so instead of reporting agreement."""
+        import dataclasses
+
+        from repro.memory.semantics import PROMISING_ARM
+
+        rm = dataclasses.replace(PROMISING_ARM, max_states=4)
+        with mutants.seeded("symmetry-skips-orbit"):
+            found = check_program(self._faa_pair(), ("reduction",), rm=rm)
+        assert [(d.oracle, d.inconclusive) for d in found] == [
+            ("reduction", True)
+        ], found
+        assert "the reference RM search was cut by max_states=4" in (
+            found[0].detail
+        )
+        assert found[0].describe().startswith("[reduction] inconclusive: ")
+
+    def test_symmetry_keeps_panic_cpu_is_killed_by_reduction(self):
+        """The push/pull leg compares the explorer's panic behaviors with
+        the reference's; a closure that forgets to rename the panicking
+        CPU reports the reached panic twice and its twin never."""
+        from repro.sekvm.ir_programs import gen_vmid_case
+
+        spec = gen_vmid_case(correct=False).spec
+        assert check_program(spec.program, ("reduction",), spec=spec) == []
+        with mutants.seeded("symmetry-keeps-panic-cpu"):
+            found = check_program(spec.program, ("reduction",), spec=spec)
+        assert [d.oracle for d in found] == ["reduction"], found
+        assert "changed the push/pull behavior set: explorer-only: " in (
+            found[0].detail
+        )
+        assert "PANIC(push/pull violation: CPU " in found[0].detail
 
 
 class TestTSOCrossCheck:

@@ -8,11 +8,18 @@ permutations.  The unreduced reference DFS
 so it is the check here: gen_vmid under all three models and fixed-seed
 genomes whose two threads run the same operations must give exactly
 the reference's behaviors.  The gate tests pin which threads group
-together and where the reduction turns itself off.
+together and where the reduction turns itself off.  Under push/pull the
+key and the terminal closure also rename the owners and the CPUs a
+panic names; the key tests pin that, and the monitored sweep compares
+every SeKVM wDRF verdict with the reduction bypassed.
 """
+
+import pickle
+import re
 
 import pytest
 
+from repro import config
 from repro.conformance.genome import Genome, build, random_genome
 from repro.conformance.oracles import _reference_explore, check_program
 from repro.ir import ThreadBuilder, build_program
@@ -20,15 +27,23 @@ from repro.ir.expr import Reg
 from repro.ir.program import MMUConfig
 from repro.litmus import catalog
 from repro.litmus.generate import derive_rng
-from repro.memory.datatypes import ExplorationMonitor
-from repro.memory.exploration import explore
+from repro.memory import cache as explore_cache
+from repro.memory import exploration
+from repro.memory.datatypes import ExplorationMonitor, Message
+from repro.memory.exploration import _symmetric_key, explore
 from repro.memory.semantics import (
     PROMISING_ARM,
     SC,
+    CpuPanic,
     ModelConfig,
     ProgramCache,
+    rename_panic,
 )
+from repro.memory.state import StateInterner, initial_state
 from repro.memory.tso import TSO
+from repro.sekvm.verify import verify_all_versions
+from repro.vrm.barrier_misuse import BarrierMisuseMonitor
+from repro.vrm.drf_kernel import DRFKernelMonitor
 
 X, Y = 0x40, 0x48
 
@@ -42,6 +57,20 @@ def _faa_pair(n_threads=2):
     return build_program(
         threads, observed={tid: ["r"] for tid in range(n_threads)},
         initial_memory={X: 0}, name="faa-pair",
+    )
+
+
+def _pushpull_pair():
+    """Two identical CPUs that pull, touch and push X, then read X once
+    more without pulling it: their panics name both CPUs."""
+    threads = []
+    for tid in range(2):
+        b = ThreadBuilder(tid)
+        b.pull(X).load("r", X).store(X, 1).push(X).load("s", X)
+        threads.append(b)
+    return build_program(
+        threads, observed={0: ["r"], 1: ["r"]}, initial_memory={X: 0},
+        name="pushpull-pair",
     )
 
 
@@ -124,7 +153,8 @@ class TestGate:
     @pytest.mark.parametrize("kwargs", [
         dict(keep_terminal_states=True),
         dict(monitors=[ExplorationMonitor()]),
-    ], ids=["keep-terminal-states", "monitors"])
+        dict(monitors=[DRFKernelMonitor(), ExplorationMonitor()]),
+    ], ids=["keep-terminal-states", "monitors", "one-monitor-not-symmetric"])
     def test_off_when_states_are_observed(self, kwargs):
         program = _faa_pair()
         result = explore(program, PROMISING_ARM, **kwargs)
@@ -132,13 +162,53 @@ class TestGate:
         assert result.behaviors == explore(program, PROMISING_ARM).behaviors
 
     @pytest.mark.parametrize("cfg", [
-        ModelConfig(relaxed=True, pushpull=True),
         ModelConfig(relaxed=True, initial_ownership=((X, 0),)),
-        ModelConfig(relaxed=True, owned_access_required=frozenset({X})),
         ModelConfig(relaxed=True, vm_features=frozenset({"bbm"})),
-    ], ids=["pushpull", "initial-ownership", "owned-access", "vm-features"])
+    ], ids=["initial-ownership", "vm-features"])
     def test_off_when_the_config_names_cpus(self, cfg):
         assert explore(_faa_pair(), cfg).stats.symmetric_threads == 0
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(relaxed=True, pushpull=True),
+        ModelConfig(relaxed=True, owned_access_required=frozenset({X})),
+        ModelConfig(relaxed=True, pushpull=True,
+                    owned_access_required=frozenset({X})),
+    ], ids=["pushpull", "owned-access", "pushpull-owned-access"])
+    def test_on_under_pushpull(self, cfg):
+        """Push/pull ownership and its panics name CPUs, and the
+        reduction renames them: every panic the reference reaches on
+        either CPU must survive the terminal closure."""
+        program = _pushpull_pair()
+        result = explore(program, cfg)
+        assert result.stats.symmetric_threads == 2
+        reference = _reference_explore(
+            program, cfg, sorted(program.initial_memory)
+        )
+        assert reference.complete
+        assert result.behaviors == reference.behaviors
+        assert result.states_explored < reference.states_explored
+
+    def test_on_with_symmetric_monitors(self, monkeypatch):
+        cfg = ModelConfig(relaxed=True, pushpull=True,
+                          owned_access_required=frozenset({X}))
+        verdicts = []
+        for bypass in (False, True):
+            if bypass:
+                monkeypatch.setattr(
+                    exploration, "_symmetry_applies", lambda *_: False
+                )
+            monitors = [DRFKernelMonitor(), BarrierMisuseMonitor()]
+            result = explore(_pushpull_pair(), cfg, monitors=monitors)
+            assert result.stats.symmetric_threads == (0 if bypass else 2)
+            verdicts.append([m.violations for m in monitors])
+        # The monitors see one representative per orbit, so a
+        # counterexample may name the CPUs the other way round.
+        reduced, unreduced = (
+            [[re.sub(r"CPU [01]", "CPU ?", v) for v in vs] for vs in run]
+            for run in verdicts
+        )
+        assert reduced == unreduced
+        assert all(len(vs) == 1 for vs in verdicts[0])
 
     def test_off_with_an_mmu(self):
         b0, b1 = ThreadBuilder(0), ThreadBuilder(1)
@@ -150,6 +220,93 @@ class TestGate:
         )
         assert ProgramCache(program).symmetry_groups() == ((0, 1),)
         assert explore(program, PROMISING_ARM).stats.symmetric_threads == 0
+
+
+#: Two thread contexts that sort as ``CTX_A < CTX_B``.
+CTX_A = initial_state(1).threads[0]._replace(pc=1)
+CTX_B = CTX_A._replace(pc=2)
+SWAP = {0: 1, 1: 0}
+
+
+def _pair_state(contexts, ownership=(), pending=(), memory=(), panic=None):
+    return initial_state(2)._replace(
+        threads=tuple(contexts), ownership=ownership,
+        pending_release=pending, memory=memory, panic=panic,
+    )
+
+
+@pytest.mark.parametrize("interned", [False, True], ids=["plain", "interned"])
+class TestKey:
+    """The visited-set key renames every tid the state records."""
+
+    @staticmethod
+    def _key(interned):
+        interner = StateInterner() if interned else None
+        return _symmetric_key(((0, 1),), (0, 1), interner)
+
+    def test_a_swap_with_its_owners_swapped_has_an_equal_key(self, interned):
+        state = _pair_state(
+            (CTX_B, CTX_A), ownership=((X, 0),), pending=((Y, 1),),
+            memory=(Message(1, X, 1, 0, False),),
+            panic=CpuPanic("owned-access", 0, X, 1),
+        )
+        swapped = _pair_state(
+            (CTX_A, CTX_B), ownership=((X, 1),), pending=((Y, 0),),
+            memory=(Message(1, X, 1, 1, False),),
+            panic=CpuPanic("owned-access", 1, X, 0),
+        )
+        key = self._key(interned)
+        assert key(state) == key(swapped)
+
+    @pytest.mark.parametrize("field", ["ownership", "pending", "panic"])
+    def test_which_cpu_owns_splits_equal_sorted_contexts(
+        self, interned, field
+    ):
+        """Both states sort to contexts ``(A, B)``; renaming the second
+        hands its location (or its panic) to the other CPU."""
+        named = {
+            "ownership": dict(ownership=((X, 0),)),
+            "pending": dict(pending=((X, 0),)),
+            "panic": dict(panic=CpuPanic("unpulled-access", 0, X)),
+        }[field]
+        key = self._key(interned)
+        assert key(_pair_state((CTX_A, CTX_B), **named)) != key(
+            _pair_state((CTX_B, CTX_A), **named)
+        )
+
+
+class TestPanicRename:
+    @pytest.mark.parametrize("kind", sorted(CpuPanic.FORMATS))
+    def test_each_format_renames_and_round_trips(self, kind):
+        reason = CpuPanic(kind, 0, X, 1)
+        renamed = rename_panic(reason, SWAP)
+        assert renamed == CpuPanic.FORMATS[kind].format(cpu=1, loc=X, owner=0)
+        assert renamed != reason
+        back = rename_panic(renamed, SWAP)
+        assert back == reason and type(back) is CpuPanic
+        copy = pickle.loads(pickle.dumps(reason))
+        assert type(copy) is CpuPanic and rename_panic(copy, SWAP) == renamed
+        # Text equal to a CPU panic, as a Panic instruction would give it.
+        assert rename_panic(str(reason), SWAP) == reason
+
+    def test_six_formats(self):
+        assert len(CpuPanic.FORMATS) == 6
+
+    def test_a_panic_instruction_reason_is_left_alone(self):
+        text = str(CpuPanic("unpulled-access", 0, X))
+        threads = []
+        for tid in range(2):
+            b = ThreadBuilder(tid)
+            b.panic(text)
+            threads.append(b)
+        program = build_program(threads, initial_memory={X: 0})
+        cfg = ModelConfig(relaxed=True, pushpull=True)
+        result = explore(program, cfg)
+        assert result.stats.symmetric_threads == 2
+        assert {b.panic for b in result.behaviors} == {text}
+        assert result.behaviors == _reference_explore(
+            program, cfg, sorted(program.initial_memory)
+        ).behaviors
 
 
 class TestAgainstReference:
@@ -212,3 +369,42 @@ def test_symmetric_genome_matches_reference(profile, seed, promises):
     assert ProgramCache(program).symmetry_groups() == ((0, 1),)
     rm = ModelConfig(relaxed=True, max_promises_per_thread=promises)
     assert _agrees_with_reference(program, rm).stats.symmetric_threads == 2
+
+
+def _numbers_erased(evidence):
+    return tuple(re.sub(r"\d+", "#", line) for line in evidence)
+
+
+def _sweep_results():
+    """Every ConditionResult of the full SeKVM sweep, computed afresh."""
+    explore_cache.clear_memory_cache()
+    with config.override(explore_cache=False):
+        outcomes = verify_all_versions(include_buggy=True, jobs=1)
+    explore_cache.clear_memory_cache()
+    return [
+        (f"{outcome.version.name}/{case.case.name}", cond, result)
+        for outcome in outcomes for case in outcome.outcomes
+        for cond, result in case.report.results.items()
+    ]
+
+
+def test_monitored_sweep_matches_the_unreduced_verdicts(monkeypatch):
+    """The wDRF passes run monitored on push/pull, where the reduction
+    now fires.  Every verdict and violation text of the 208 specs must
+    equal the run with the reduction bypassed; only the gen_vmid
+    evidence may differ, and only in its state and terminal counts."""
+    reduced = _sweep_results()
+    monkeypatch.setattr(exploration, "_symmetry_applies", lambda *_: False)
+    unreduced = _sweep_results()
+    assert len(reduced) == 1248
+    assert [r[:2] for r in reduced] == [r[:2] for r in unreduced]
+    counted = set()
+    for (name, cond, a), (_, _, b) in zip(reduced, unreduced):
+        assert (a.holds, a.exhaustive, a.violations) == (
+            b.holds, b.exhaustive, b.violations
+        ), (name, cond)
+        if a.evidence != b.evidence:
+            assert "gen_vmid" in name, (name, cond)
+            assert _numbers_erased(a.evidence) == _numbers_erased(b.evidence)
+            counted.add(name.split("/")[1])
+    assert counted == {"gen_vmid[verified]", "gen_vmid[no-barriers]"}
