@@ -83,10 +83,11 @@ genome's profile (plus the expensive ``fuse``/``jobs`` oracles when
 asked) and is the single entry point used by the fuzzing engine, the
 shrinker, and the corpus replayer.
 
-A check whose searches a budget cut (``reduction``, ``vm_neutral``, and
-``monitor`` when the cut search found no panic) compared nothing: it
-returns an *inconclusive* :class:`Disagreement` naming the search and
-the budget, which the fuzzer counts apart and never shrinks or saves.
+A check whose searches a budget cut (``containment``, ``equivalence``,
+``axiomatic``, ``por``, ``reduction``, ``vm_neutral``, and ``monitor``
+when the cut search found no panic) compared nothing: it returns an
+*inconclusive* :class:`Disagreement` naming the search and the budget,
+which the fuzzer counts apart and never shrinks or saves.
 """
 
 from __future__ import annotations
@@ -230,6 +231,18 @@ def _budget_cut(
     )
 
 
+def _first_cut(
+    oracle: str, searches: Sequence[Tuple[str, ExplorationResult, ModelConfig]]
+) -> Optional[Disagreement]:
+    """The inconclusive outcome (:func:`_budget_cut`) for the first of
+    *searches*, ``(name, result, cfg)`` triples, that a budget cut, or
+    None when every search is complete."""
+    for search, result, cfg in searches:
+        if not result.complete:
+            return _budget_cut(oracle, search, result, cfg)
+    return None
+
+
 @dataclass(frozen=True)
 class Subject:
     """One program under check: the SC and relaxed configurations the
@@ -339,6 +352,11 @@ def _check_containment(subject: Subject) -> List[Disagreement]:
                         observe_locs=subject.observe)
     rm = cached_explore(subject.program, subject.rm,
                         observe_locs=subject.observe)
+    cut = _first_cut("containment", (
+        ("the SC search", sc, subject.sc), ("the RM search", rm, subject.rm),
+    ))
+    if cut is not None:
+        return [cut]
     missing = sc.behaviors - rm.behaviors
     if not missing:
         return []
@@ -364,6 +382,11 @@ def _check_equivalence(subject: Subject) -> List[Disagreement]:
                         observe_locs=subject.observe)
     rm = cached_explore(subject.program, subject.rm,
                         observe_locs=subject.observe)
+    cut = _first_cut("equivalence", (
+        ("the SC search", sc, subject.sc), ("the RM search", rm, subject.rm),
+    ))
+    if cut is not None:
+        return [cut]
     rm_only = rm.behaviors - sc.behaviors
     if not rm_only:
         return []
@@ -381,6 +404,8 @@ def _check_axiomatic(subject: Subject) -> List[Disagreement]:
         return []
     ax = axiomatic_outcomes(program)
     op = cached_explore(program, subject.rm, observe_locs=subject.observe)
+    if not op.complete:
+        return [_budget_cut("axiomatic", "the RM search", op, subject.rm)]
     operational = {(b.registers, b.memory) for b in op.behaviors}
     if ax == operational:
         return []
@@ -524,16 +549,12 @@ def _check_vm_neutral(subject: Subject) -> List[Disagreement]:
             subject.program, dataclasses.replace(cfg, vm_features=frozenset()),
             observe_locs=subject.observe,
         )
-        cut = [
-            (name, result) for name, result in (
-                ("featured", featured), ("stripped", stripped),
-            ) if not result.complete
-        ]
-        if cut:
-            name, result = cut[0]
-            out.append(_budget_cut(
-                "vm_neutral", f"the {name} {label} search", result, cfg,
-            ))
+        cut = _first_cut("vm_neutral", (
+            (f"the featured {label} search", featured, cfg),
+            (f"the stripped {label} search", stripped, cfg),
+        ))
+        if cut is not None:
+            out.append(cut)
             continue
         diff = _behaviors_diff("featured", featured, "stripped", stripped)
         if diff:
@@ -554,6 +575,13 @@ def _check_por(subject: Subject) -> List[Disagreement]:
         full = cached_explore(
             subject.program, cfg, observe_locs=subject.observe, por=False
         )
+        cut = _first_cut("por", (
+            (f"the reduced {label} search", reduced, cfg),
+            (f"the unreduced {label} search", full, cfg),
+        ))
+        if cut is not None:
+            out.append(cut)
+            continue
         diff = _behaviors_diff("reduced", reduced, "unreduced", full)
         if diff:
             out.append(Disagreement(

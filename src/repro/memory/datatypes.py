@@ -206,6 +206,10 @@ class EngineStats:
       a thread holds a promise no reachable store can fulfil and no
       ``Panic`` is reachable (see :func:`repro.memory.exploration.
       _drop_doomed`); such states could never reach a valid terminal.
+    * ``promise_gate_skips`` — promise candidates the relaxed explorer
+      skipped because the thread stands at the plain store that writes
+      them (see :func:`repro.memory.exploration._promise_gate`); that
+      store reaches the same states by executing.
     * ``await_pruned`` — taken back-edges of pure await loops the
       explorer dropped (see :func:`repro.memory.exploration.
       thread_steps`): a failed spin iteration whose thread waits at the
@@ -237,6 +241,7 @@ class EngineStats:
     cert_budget_hits: int = 0
     successors_generated: int = 0
     doomed_pruned: int = 0
+    promise_gate_skips: int = 0
     await_pruned: int = 0
     por_ample_hits: int = 0
     interner_timelines: int = 0

@@ -24,6 +24,11 @@ search by the ``reduction`` conformance oracle
 * **Doomed-state pruning** (:func:`_drop_doomed`): under Arm, successors
   in which a thread holds a promise no reachable store can fulfil are
   dropped.
+* **Own-store promise gate** (:func:`_promise_gate`): a thread standing
+  at a plain store never promises that store's own ``(loc, value)``;
+  only that store could fulfil such a promise, and executing it reaches
+  the same states.  Off under push/pull, for an MMU program, under VM
+  features, and in any state where a ``Panic`` is still reachable.
 * **Canonical state interning** (:class:`repro.memory.state.StateInterner`):
   the visited set stores compact hash-consed keys instead of deep nested
   tuples, so duplicate detection costs O(changed components) per
@@ -65,6 +70,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import config
 from repro.errors import ExplorationBudgetExceeded
+from repro.ir.instructions import Store
 from repro.ir.program import Program
 from repro.memory.datatypes import (
     Behavior,
@@ -143,12 +149,14 @@ def _successors(
     memo: CertMemo,
     plan,
     awaits,
+    gate,
     stats: EngineStats,
     sink,
 ) -> List[ExecState]:
     """Expand one non-terminal state: the full scheduler/promise fan-out,
     or the single ample thread when the POR plan offers one.  *awaits*
-    is the exploration's await-loop table (see :func:`thread_steps`)."""
+    is the exploration's await-loop table (see :func:`thread_steps`),
+    *gate* its own-store promise gate (see :func:`_promise_gate`)."""
     successors: Optional[List[ExecState]] = None
     if plan is not None:
         ample = plan.ample_thread(state, stats=stats)
@@ -165,6 +173,14 @@ def _successors(
         threads = state.threads
         relaxed = cfg.relaxed
         tso = cfg.tso
+        stores = None
+        if gate is not None:
+            stores, panicky, any_store = gate
+            if panicky is not None and any(
+                not ctx.halted and panicky[tidx][ctx.pc]
+                for tidx, ctx in enumerate(threads)
+            ):
+                stores = None
         for tidx in range(len(threads)):
             if tso and threads[tidx].wbuf:
                 # The internal flush step — generated before the halted
@@ -177,7 +193,18 @@ def _successors(
                 thread_steps(cache, state, tidx, cfg, awaits, stats)
             )
             if relaxed:
-                successors.extend(promise_steps(cache, state, tidx, cfg, memo))
+                skip = None
+                if stores is not None:
+                    ctx = threads[tidx]
+                    store = stores[tidx][ctx.pc]
+                    if store is not None:
+                        if any_store:
+                            continue
+                        regs = dict(ctx.regs)
+                        skip = (store.addr.eval(regs), store.value.eval(regs))
+                successors.extend(
+                    promise_steps(cache, state, tidx, cfg, memo, skip=skip)
+                )
     if cfg.relaxed and not cfg.pushpull and successors:
         successors = _drop_doomed(cache.doomed_tables(), successors, stats)
     stats.successors_generated += len(successors)
@@ -214,6 +241,48 @@ def thread_steps(
                 stats.await_pruned += 1
             return []
     return steps
+
+
+def _promise_gate(
+    program: Program, cache: ProgramCache, cfg: ModelConfig
+) -> Optional[Tuple]:
+    """The own-store promise gate's tables, or None where it is off.
+
+    A thread standing at a plain store never promises that store's own
+    ``(loc, value)``: :func:`_successors` passes it to
+    :func:`~repro.memory.semantics.promise_steps` as the one candidate to
+    skip.  Only that store could fulfil such a promise ``p`` (appending
+    instead raises ``coh[loc]`` past ``p``), and until it runs the
+    thread takes only promise steps, while no other thread reads the
+    thread's context or a message's ``promised`` flag.  So "promise
+    ``p``, other steps, fulfil ``p``" reaches the same state as "store
+    at ``p``, other steps".  A run that panics with ``p`` still
+    outstanding has no such counterpart, hence the gate is off in a
+    state where a non-halted thread can still reach a ``Panic``.
+
+    ``(stores, panicky, any_store)``: ``stores[tidx][pc]`` is the plain
+    ``Store`` at *pc* or None (the halted pc included); ``panicky`` is
+    :meth:`~repro.memory.semantics.ProgramCache.panic_table`;
+    ``any_store`` is the ``promise-gate-any-store`` mutant.  Off under
+    push/pull, whose ownership check runs when the store executes, and
+    for an MMU program or under VM features, where a walker ignores its
+    own CPU's unfulfilled promises.
+    """
+    if (
+        not cfg.relaxed or cfg.pushpull or cfg.vm_features
+        or program.mmu is not None
+    ):
+        return None
+    stores = tuple(
+        tuple(
+            instr if isinstance(instr, Store) and not instr.release else None
+            for instr in thread.instrs
+        ) + (None,)
+        for thread in program.threads
+    )
+    # Seeded bug: skip every promise, not only the store's own write.
+    any_store = mutants.enabled("promise-gate-any-store")
+    return stores, cache.panic_table(), any_store
 
 
 def _drop_doomed(
@@ -454,6 +523,7 @@ def explore(
             stats.por_gate_skips += 1
 
     awaits = cache.await_backedges(cfg.pushpull)
+    gate = _promise_gate(program, cache, cfg)
 
     active: List[ExplorationMonitor] = [
         m for m in (monitors or ()) if not m.stopped
@@ -529,7 +599,7 @@ def explore(
             continue
 
         successors = _successors(
-            cache, state, cfg, memo, plan, awaits, stats, sink
+            cache, state, cfg, memo, plan, awaits, gate, stats, sink
         )
 
         if not successors:

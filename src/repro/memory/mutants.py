@@ -87,6 +87,12 @@ mutant is active:
   the reduced search reached on one CPU never appears for its twin.
   Killed by the ``reduction`` oracle's push/pull leg on the SeKVM
   ``gen_vmid[no-barriers]`` spec.
+* ``promise-gate-any-store`` — the explorer's own-store promise gate
+  (:func:`repro.memory.exploration._promise_gate`) drops *every*
+  promise of a thread standing at a plain store, not only the one of
+  that store's own write: a promise the thread needs for a later store
+  (``2+2W``, ``S+data``) can no longer be made there, and the relaxed
+  behavior it enables vanishes.  Killed by the ``reduction`` oracle.
 
 Active mutants are part of every exploration cache key (see
 :func:`repro.memory.cache.exploration_key`), so a mutated engine can
@@ -114,6 +120,7 @@ KNOWN_MUTANTS: Tuple[str, ...] = (
     "ample-ignores-panic",
     "symmetry-skips-orbit",
     "symmetry-keeps-panic-cpu",
+    "promise-gate-any-store",
 )
 
 _active: Set[str] = set()

@@ -1889,12 +1889,16 @@ def promise_steps(
     tidx: int,
     cfg: ModelConfig,
     memo: Optional[CertMemo] = None,
+    skip: Optional[Tuple[int, int]] = None,
 ) -> List[ExecState]:
     """Successor states where thread *tidx* promises a future store.
 
     Candidates are iterated in sorted order so the successor list — and
     therefore the outer DFS — is deterministic and identical with the
-    certification memo on or off.
+    certification memo on or off.  The ``(loc, value)`` candidate
+    *skip* is dropped before it is certified (the explorer's own-store
+    promise gate, :func:`repro.memory.exploration._promise_gate`); each
+    drop counts in ``memo.stats.promise_gate_skips``.
     """
     ctx = state.threads[tidx]
     if (
@@ -1913,6 +1917,10 @@ def promise_steps(
     for loc, val in sorted(
         collect_promise_candidates(cache, state, tidx, cfg, memo)
     ):
+        if (loc, val) == skip:
+            if memo is not None:
+                memo.stats.promise_gate_skips += 1
+            continue
         ts = len(state.memory) + 1
         promised = state.append_message(Message(ts, loc, val, thread.tid, True))
         promised = promised.with_thread(

@@ -260,6 +260,35 @@ class TestInconclusive:
         assert "3 check(s) INCONCLUSIVE" in summary
         assert "all oracles agreed" not in summary
 
+    @pytest.mark.parametrize("oracle,cut_model,search", [
+        ("containment", "sc", "the SC search"),
+        ("equivalence", "rm", "the RM search"),
+        ("axiomatic", "rm", "the RM search"),
+        ("por", "rm", "the reduced RM search"),
+    ])
+    def test_a_budget_cut_search_makes_the_oracle_inconclusive(
+        self, oracle, cut_model, search
+    ):
+        """Store buffering cut at ``max_states=4``: the cut side's
+        behavior set is a fragment, so comparing it would read as a
+        pass or a false finding; the oracle says it compared nothing."""
+        import dataclasses
+
+        from repro.conformance.oracles import check_program
+        from repro.litmus.catalog import full_corpus
+        from repro.memory.semantics import PROMISING_ARM, SC
+
+        program = next(t for t in full_corpus() if t.name == "SB").program
+        models = {"sc": SC, "rm": PROMISING_ARM}
+        models[cut_model] = dataclasses.replace(
+            models[cut_model], max_states=4,
+        )
+        found = check_program(program, (oracle,), **models)
+        assert [(d.oracle, d.inconclusive) for d in found] == [
+            (oracle, True)
+        ], found
+        assert f"{search} was cut by max_states=4" in found[0].detail
+
 
 class TestCoverage:
     def test_coverage_reports_new_territory(self):

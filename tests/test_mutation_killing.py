@@ -116,7 +116,9 @@ class TestTSOPortabilityKills:
 class TestReductionGateKills:
     """Fuzz genomes have no branches, ``Mov`` instructions or panics,
     and rarely two identical threads, so the reduction-gate and
-    symmetry mutants are killed on pinned programs."""
+    symmetry mutants are killed on pinned programs; the promise-gate
+    mutant on the catalog tests whose relaxed outcome needs a promise
+    made at one store for a later one."""
 
     def test_await_loop_carried_is_killed_by_reduction(self):
         from tests.test_await_reduction import pointer_chasing_program
@@ -162,6 +164,22 @@ class TestReductionGateKills:
             found = check_program(program, ("reduction",))
         assert [d.oracle for d in found] == ["reduction"], found
         assert "reference-only: {t0.r=1, t1.r=0;" in found[0].detail
+
+    @pytest.mark.parametrize("name,lost", [
+        ("2+2W", "{[0x100]=1, [0x200]=1}"),
+        ("S+data", "{t1.r0=1; [0x100]=2, [0x200]=1}"),
+    ])
+    def test_promise_gate_any_store_is_killed_by_reduction(self, name, lost):
+        from repro.litmus.catalog import full_corpus
+        from repro.litmus.runner import litmus_configs
+
+        test = next(t for t in full_corpus() if t.name == name)
+        _sc, rm = litmus_configs(test)
+        assert check_program(test.program, ("reduction",), rm=rm) == []
+        with mutants.seeded("promise-gate-any-store"):
+            found = check_program(test.program, ("reduction",), rm=rm)
+        assert [d.oracle for d in found] == ["reduction"], found
+        assert f"reference-only: {lost}" in found[0].detail
 
     def test_a_budget_cut_check_is_inconclusive_not_agreement(self):
         """At ``max_states=4`` the mutated search completes in 3 states

@@ -152,9 +152,10 @@ class TestBitIdentity:
 _OBS_DIR = os.path.dirname(tracer.__file__) + os.sep
 
 
-def _obs_calls(max_promises, sink=None, with_metrics=False):
-    """Explore ``promise_heavy`` under ``sys.setprofile`` and count the
-    Python calls into functions defined under ``src/repro/obs/``.
+def _obs_calls(max_promises, sink=None, with_metrics=False, program=None):
+    """Explore *program* (default ``promise_heavy``) under
+    ``sys.setprofile`` and count the Python calls into functions defined
+    under ``src/repro/obs/``.
 
     Returns ``(states, calls, names)``: *calls* is the total, *names*
     counts the calls per function.
@@ -165,7 +166,8 @@ def _obs_calls(max_promises, sink=None, with_metrics=False):
         if event == "call" and frame.f_code.co_filename.startswith(_OBS_DIR):
             names[frame.f_code.co_name] += 1
 
-    program = catalog.promise_heavy_program()
+    if program is None:
+        program = catalog.promise_heavy_program()
     cfg = ModelConfig(relaxed=True, max_promises_per_thread=max_promises)
     if sink is not None:
         tracer.install(sink)
@@ -203,7 +205,9 @@ class TestFreeWhenOff:
     every host: one per-step call anywhere in the engine fails it."""
 
     def test_untraced_exploration_makes_no_obs_call(self):
-        states, calls, names = _obs_calls(3)
+        states, calls, names = _obs_calls(
+            1, program=catalog.example2(False).program
+        )
         assert states > 5000
         assert calls == 0, f"untraced run called into repro.obs: {names}"
 

@@ -163,10 +163,13 @@ class TestDoomedPruning:
         assert _only_via_doomed(result) == []
 
     def test_push_pull_prunes_nothing(self):
-        # Store buffering: a thread that promised its store and then
-        # stored the value fresh is doomed at its final load.
-        t0 = ThreadBuilder(0).store(X, 1).load("a", Y)
-        t1 = ThreadBuilder(1).store(Y, 1).load("b", X)
+        # Load buffering with a control dependency: a thread that
+        # promised its store and then read 0 branches past that store,
+        # doomed with its promise outstanding.
+        t0 = ThreadBuilder(0)
+        skip = t0.fresh_label("skip")
+        t0.load("a", Y).bz(Reg("a"), skip).store(X, 1).label(skip)
+        t1 = ThreadBuilder(1).load("b", X).store(Y, 1)
         program = build_program(
             [t0, t1], observed={0: ["a"], 1: ["b"]},
             initial_memory={X: 0, Y: 0},
@@ -207,16 +210,18 @@ class TestDoomedPruning:
 class TestCounts:
     def test_promise_heavy_shrinks_with_identical_behaviors(self):
         """Dropping doomed successors takes ``promise_heavy`` at 3
-        promises from 163,581 states to 7,107; the SAT backend — an
-        independent decision procedure — still agrees on every
-        behavior."""
+        promises from 163,581 states to 7,107, and skipping a thread's
+        promise of the store it stands at takes that to 2,211; the SAT
+        backend — an independent decision procedure — still agrees on
+        every behavior."""
         program = promise_heavy_program()
         cfg = ModelConfig(relaxed=True, max_promises_per_thread=3)
         result = explore(program, cfg, por=True)
         assert result.complete
-        assert result.states_explored == 7_107
-        assert result.stats.successors_generated == 12_599
-        assert result.stats.doomed_pruned == 6_837
+        assert result.states_explored == 2_211
+        assert result.stats.successors_generated == 3_826
+        assert result.stats.doomed_pruned == 1_002
+        assert result.stats.promise_gate_skips == 1_154
         solved = bmc_behaviors(program, cfg, cache=False)
         assert {(b.registers, b.memory) for b in result.behaviors} == {
             (b.registers, b.memory) for b in solved
