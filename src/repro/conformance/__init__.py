@@ -15,7 +15,9 @@ coverage-guided random programs through all of them
 disagreement to a minimal replayable counterexample
 (:mod:`~repro.conformance.shrink`, :mod:`~repro.conformance.corpus`),
 and pins the litmus catalog's behavior sets against drift
-(:mod:`~repro.conformance.digests`).
+(:mod:`~repro.conformance.digests`).  The optimization ledger
+(:mod:`~repro.conformance.ledger`) lists, per optimization, its
+ablation, its oracle and the seeded mutants that oracle kills.
 
 The mutation-killing suite (``tests/test_mutation_killing.py``) closes
 the loop: seeded engine bugs (:mod:`repro.memory.mutants`) must each be
@@ -32,6 +34,11 @@ from repro.conformance.genome import (
     mutate,
     random_genome,
     valid,
+)
+from repro.conformance.ledger import (
+    OPTIMIZATIONS,
+    REFERENCES,
+    Optimization,
 )
 from repro.conformance.oracles import (
     ORACLES,
@@ -71,6 +78,9 @@ __all__ = [
     "mutate",
     "random_genome",
     "valid",
+    "OPTIMIZATIONS",
+    "Optimization",
+    "REFERENCES",
     "ORACLES",
     "Disagreement",
     "check_genome",

@@ -33,9 +33,10 @@ bug, never on an expected relaxed-memory effect:
     also explore the same number of states), and process-pool vs.
     serial evaluation must each produce bit-identical behavior sets.
 ``reduction``
-    The explorer's state-space reductions — doomed-state pruning,
-    await-loop pruning, partial-order reduction, thread symmetry and
-    the certification memo — keep the relaxed behavior set: a minimal
+    The explorer's state-space reductions — doomed-state and
+    dead-promise pruning, await-loop pruning, the own-store promise
+    gate, partial-order reduction, thread symmetry and the
+    certification memo — keep the relaxed behavior set: a minimal
     reference DFS over the bare step relation (every thread scheduled,
     nothing pruned, no memo) must reach exactly the same behaviors.
     Given a wDRF spec, the spec's push/pull configuration (the
@@ -75,8 +76,11 @@ bug, never on an expected relaxed-memory effect:
 to its check function and the kind of witness that explains a failure
 (:data:`MODEL_DIFF`, :data:`CONFIG` or :data:`VM`, read by
 :mod:`repro.obs.render`).  It is the only differential-check mechanism
-in the repository — every optimization is compared with its reference
-path here and nowhere else.  :func:`check_program` runs chosen entries
+in the repository: every optimization with an oracle is compared with
+its reference path here and nowhere else.  The ledger
+(:data:`repro.conformance.ledger.OPTIMIZATIONS`) names each
+optimization's oracle, and what checks the few that have none.
+:func:`check_program` runs chosen entries
 on any program (optionally with a full :class:`~repro.vrm.verifier.
 WDRFSpec`); :func:`check_genome` selects the sound subset for a
 genome's profile (plus the expensive ``fuse``/``jobs`` oracles when

@@ -206,6 +206,9 @@ class EngineStats:
       a thread holds a promise no reachable store can fulfil and no
       ``Panic`` is reachable (see :func:`repro.memory.exploration.
       _drop_doomed`); such states could never reach a valid terminal.
+    * ``dead_promises_pruned`` — successors the same filter dropped
+      because a thread holds a promise its own views have passed
+      (``p <= max(coh[loc], vwn, vctrl)``), so no store can fulfil it.
     * ``promise_gate_skips`` — promise candidates the relaxed explorer
       skipped because the thread stands at the plain store that writes
       them (see :func:`repro.memory.exploration._promise_gate`); that
@@ -242,6 +245,7 @@ class EngineStats:
     successors_generated: int = 0
     doomed_pruned: int = 0
     promise_gate_skips: int = 0
+    dead_promises_pruned: int = 0
     await_pruned: int = 0
     por_ample_hits: int = 0
     interner_timelines: int = 0

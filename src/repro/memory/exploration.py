@@ -24,6 +24,11 @@ search by the ``reduction`` conformance oracle
 * **Doomed-state pruning** (:func:`_drop_doomed`): under Arm, successors
   in which a thread holds a promise no reachable store can fulfil are
   dropped.
+* **Dead-promise pruning** (:func:`_dead`): the same filter drops
+  successors in which a thread holds a promise ``p`` to ``L`` with
+  ``p <= max(coh[L], vwn, vctrl)``: those views never decrease and a
+  store fulfils only above them, so ``p`` stays outstanding forever.
+  Off under push/pull and while a ``Panic`` is reachable.
 * **Own-store promise gate** (:func:`_promise_gate`): a thread standing
   at a plain store never promises that store's own ``(loc, value)``;
   only that store could fulfil such a promise, and executing it reaches
@@ -150,13 +155,16 @@ def _successors(
     plan,
     awaits,
     gate,
+    doomed,
     stats: EngineStats,
     sink,
 ) -> List[ExecState]:
     """Expand one non-terminal state: the full scheduler/promise fan-out,
     or the single ample thread when the POR plan offers one.  *awaits*
     is the exploration's await-loop table (see :func:`thread_steps`),
-    *gate* its own-store promise gate (see :func:`_promise_gate`)."""
+    *gate* its own-store promise gate (see :func:`_promise_gate`),
+    *doomed* its doomed-state filter's tables (see :func:`_drop_doomed`)
+    or None where the filter is off."""
     successors: Optional[List[ExecState]] = None
     if plan is not None:
         ample = plan.ample_thread(state, stats=stats)
@@ -176,10 +184,7 @@ def _successors(
         stores = None
         if gate is not None:
             stores, panicky, any_store = gate
-            if panicky is not None and any(
-                not ctx.halted and panicky[tidx][ctx.pc]
-                for tidx, ctx in enumerate(threads)
-            ):
+            if _panic_reachable(panicky, threads):
                 stores = None
         for tidx in range(len(threads)):
             if tso and threads[tidx].wbuf:
@@ -205,8 +210,8 @@ def _successors(
                 successors.extend(
                     promise_steps(cache, state, tidx, cfg, memo, skip=skip)
                 )
-    if cfg.relaxed and not cfg.pushpull and successors:
-        successors = _drop_doomed(cache.doomed_tables(), successors, stats)
+    if doomed is not None and successors:
+        successors = _drop_doomed(doomed, state, successors, stats)
     stats.successors_generated += len(successors)
     return successors
 
@@ -285,45 +290,105 @@ def _promise_gate(
     return stores, cache.panic_table(), any_store
 
 
+def _panic_reachable(panicky, threads) -> bool:
+    """Can a non-halted thread still reach a ``Panic``?  *panicky* is
+    :meth:`~repro.memory.semantics.ProgramCache.panic_table`."""
+    if panicky is not None:
+        for tidx, ctx in enumerate(threads):
+            if not ctx.halted and panicky[tidx][ctx.pc]:
+                return True
+    return False
+
+
+def _dead(ctx, memory, vro: bool) -> bool:
+    """Does *ctx* hold a promise its own views have already passed?
+
+    A promise ``p`` to location ``L`` is *dead* once ``p <= max(coh[L],
+    vwn, vctrl)``: fulfilling it needs ``p`` above the store floor
+    (:func:`~repro.memory.semantics._store_floor`), and no step lowers
+    any of those views.  *vro* is the ``dead-promise-counts-vro``
+    mutant.
+    """
+    floor = max(ctx.vwn, ctx.vctrl, ctx.vro) if vro else max(
+        ctx.vwn, ctx.vctrl
+    )
+    coh = ctx.coh
+    for p in ctx.promises:
+        if p <= floor or p <= tget(coh, memory[p - 1].loc, 0):
+            return True
+    return False
+
+
 def _drop_doomed(
-    tables: Tuple, successors: List[ExecState], stats: EngineStats
+    tables: Tuple,
+    state: ExecState,
+    successors: List[ExecState],
+    stats: EngineStats,
 ) -> List[ExecState]:
-    """Drop the successors that can never reach a valid terminal state.
+    """Drop the successors of *state* that can never reach a valid
+    terminal state.  *tables* is ``(holders, stuck, panicky)`` from
+    :meth:`~repro.memory.semantics.ProgramCache.doomed_tables` plus the
+    ``dead-promise-counts-vro`` mutant's flag.
 
     A successor is *doomed* when some thread holds promises at a pc from
     which no fulfilling store is reachable
-    (:meth:`~repro.memory.semantics.ProgramCache.fulfillable_from`) and
-    no non-halted thread can still reach a ``Panic``.  Sound because
-    only :func:`~repro.memory.semantics._exec_store`'s fulfil branch
-    removes a promise, so such a thread keeps its promises in every
-    descendant, and a normal terminal state with promises is invalid;
-    only a panic could make the subtree observable.  Outside push/pull
-    every panic comes from a ``Panic`` instruction: every other
-    ``_panic_state`` call site is a push/pull ownership check
+    (:meth:`~repro.memory.semantics.ProgramCache.fulfillable_from`), or
+    holds a *dead* promise its own views have passed (:func:`_dead`),
+    and no non-halted thread can still reach a ``Panic``.  Sound
+    because only :func:`~repro.memory.semantics._exec_store`'s fulfil
+    branch removes a promise, so such a thread keeps its promises in
+    every descendant, and a normal terminal state with promises is
+    invalid; only a panic could make the subtree observable.  Outside
+    push/pull every panic comes from a ``Panic`` instruction: every
+    other ``_panic_state`` call site is a push/pull ownership check
     (``_ownership_check``, ``_exec_pull``, ``_exec_push``), hence the
-    ``not pushpull`` gate at the caller.  The check is two table
-    lookups per promise-holding thread.
+    ``not pushpull`` gate in :func:`explore`.
+
+    The pc check is two table lookups per promise-holding thread.  The
+    dead check runs only on contexts the step changed: an unchanged
+    context (``succ.threads[t] is state.threads[t]``) takes the
+    parent's verdict, because a promise's location never changes.  The
+    parent's verdict is computed once per expansion, and only where
+    the panic gate holds at the parent: the parent is a kept successor
+    of an earlier expansion (or the promise-free initial state).  Drops
+    count in ``stats.doomed_pruned`` and ``stats.dead_promises_pruned``.
     """
-    holders, stuck, panicky = tables
-    if not holders:
-        return successors
+    holders, stuck, panicky, vro = tables
+    parent = state.threads
+    # *state* passed this filter itself, so it holds a dead promise only
+    # if the panic gate kept it.
+    was_dead = ()
+    if _panic_reachable(panicky, parent):
+        was_dead = {
+            tidx for tidx in holders
+            if parent[tidx].promises and _dead(parent[tidx], state.memory, vro)
+        }
     kept: List[ExecState] = []
     for succ in successors:
         threads = succ.threads
+        dead = False
         for tidx in holders:
             ctx = threads[tidx]
-            if ctx.promises and (ctx.halted or stuck[tidx][ctx.pc]):
+            if not ctx.promises:
+                continue
+            if ctx.halted or stuck[tidx][ctx.pc]:
+                break
+            if (
+                tidx in was_dead if ctx is parent[tidx]
+                else _dead(ctx, succ.memory, vro)
+            ):
+                dead = True
                 break
         else:
             kept.append(succ)
             continue
-        if panicky is not None and any(
-            not ctx.halted and panicky[tidx][ctx.pc]
-            for tidx, ctx in enumerate(threads)
-        ):
+        if _panic_reachable(panicky, threads):
             kept.append(succ)
             continue
-        stats.doomed_pruned += 1
+        if dead:
+            stats.dead_promises_pruned += 1
+        else:
+            stats.doomed_pruned += 1
     return kept
 
 
@@ -524,6 +589,13 @@ def explore(
 
     awaits = cache.await_backedges(cfg.pushpull)
     gate = _promise_gate(program, cache, cfg)
+    doomed = None
+    if cfg.relaxed and not cfg.pushpull:
+        holders, stuck, panicky = cache.doomed_tables()
+        if holders:
+            # Seeded bug: count the read view as a store floor too.
+            vro = mutants.enabled("dead-promise-counts-vro")
+            doomed = (holders, stuck, panicky, vro)
 
     active: List[ExplorationMonitor] = [
         m for m in (monitors or ()) if not m.stopped
@@ -599,7 +671,8 @@ def explore(
             continue
 
         successors = _successors(
-            cache, state, cfg, memo, plan, awaits, gate, stats, sink
+            cache, state, cfg, memo, plan, awaits, gate, doomed, stats,
+            sink,
         )
 
         if not successors:

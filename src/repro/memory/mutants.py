@@ -93,6 +93,12 @@ mutant is active:
   that store's own write: a promise the thread needs for a later store
   (``2+2W``, ``S+data``) can no longer be made there, and the relaxed
   behavior it enables vanishes.  Killed by the ``reduction`` oracle.
+* ``dead-promise-counts-vro`` — the explorer's dead-promise check
+  (:func:`repro.memory.exploration._dead`) also counts the read view
+  ``vro`` as a store floor, so a thread that promised its store and
+  then read a later write to another location looks unable to fulfil
+  the promise although a plain store's floor ignores ``vro``: the
+  load-buffering outcome vanishes.  Killed by the ``reduction`` oracle.
 
 Active mutants are part of every exploration cache key (see
 :func:`repro.memory.cache.exploration_key`), so a mutated engine can
@@ -121,6 +127,7 @@ KNOWN_MUTANTS: Tuple[str, ...] = (
     "symmetry-skips-orbit",
     "symmetry-keeps-panic-cpu",
     "promise-gate-any-store",
+    "dead-promise-counts-vro",
 )
 
 _active: Set[str] = set()

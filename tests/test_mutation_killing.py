@@ -4,7 +4,8 @@
 be shown to fire when the engine is actually broken.  Each test here
 switches on one seeded bug class from :mod:`repro.memory.mutants` —
 a weakened full-barrier semantics, a DRF monitor that swallows
-violations, a doomed-state reduction that drops live states — and
+violations, a doomed-state reduction that drops live states, a
+dead-promise check that kills live promises — and
 asserts the differential harness detects it within a small
 fixed-seed budget, shrinking the witness to at most 8 operations.
 
@@ -28,6 +29,7 @@ MUTANT_MATRIX = [
     ("lost-flush", ("plain",), "portability", 40),
     ("read-skips-own-buffer", ("plain",), "portability", 40),
     ("doomed-skips-current-store", ("plain",), "reduction", 60),
+    ("dead-promise-counts-vro", ("plain",), "reduction", 60),
 ]
 
 

@@ -65,12 +65,13 @@ def _catalog_test(name):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("promises,states", [(1, 1_113), (2, 2_211)])
+    @pytest.mark.parametrize("promises,states", [(1, 1_052), (2, 1_832)])
     def test_promise_heavy(self, promises, states):
         cfg = ModelConfig(relaxed=True, max_promises_per_thread=promises)
         result = _agrees_with_reference(promise_heavy_program(), cfg)
         assert result.states_explored == states
         assert result.stats.promise_gate_skips > 0
+        assert result.stats.dead_promises_pruned > 0
 
     @pytest.mark.parametrize("name,states", [
         ("IRIW", 147), ("ISA2+plain", 568), ("2+2W", 109), ("S+data", 75),

@@ -7,7 +7,8 @@ The contract under test:
 * the nested certification searches stop at states from which no
   fulfilling store is reachable,
 * the outer DFS drops doomed successors (a promise no reachable store
-  can fulfil, no reachable panic) and nothing else: not under push/pull,
+  can fulfil, or one the thread's own views have passed, and no
+  reachable panic) and nothing else: not under push/pull,
   not while a panic is reachable, not while a ``VStore`` can fulfil,
 * ``promise_heavy`` and ``gen_vmid`` explore exactly the pinned number
   of states, and ``promise_heavy``'s behaviors agree with the SAT
@@ -210,32 +211,35 @@ class TestDoomedPruning:
 class TestCounts:
     def test_promise_heavy_shrinks_with_identical_behaviors(self):
         """Dropping doomed successors takes ``promise_heavy`` at 3
-        promises from 163,581 states to 7,107, and skipping a thread's
-        promise of the store it stands at takes that to 2,211; the SAT
+        promises from 163,581 states to 7,107, skipping a thread's
+        promise of the store it stands at takes that to 2,211, and
+        dropping successors that hold a dead promise to 1,832; the SAT
         backend — an independent decision procedure — still agrees on
         every behavior."""
         program = promise_heavy_program()
         cfg = ModelConfig(relaxed=True, max_promises_per_thread=3)
         result = explore(program, cfg, por=True)
         assert result.complete
-        assert result.states_explored == 2_211
-        assert result.stats.successors_generated == 3_826
-        assert result.stats.doomed_pruned == 1_002
-        assert result.stats.promise_gate_skips == 1_154
+        assert result.states_explored == 1_832
+        assert result.stats.successors_generated == 3_249
+        assert result.stats.doomed_pruned == 305
+        assert result.stats.dead_promises_pruned == 217
+        assert result.stats.promise_gate_skips == 771
         solved = bmc_behaviors(program, cfg, cache=False)
         assert {(b.registers, b.memory) for b in result.behaviors} == {
             (b.registers, b.memory) for b in solved
         }
 
     @pytest.mark.parametrize("correct,states,pruned,ample", [
-        (False, 12_529, 940, 5_686),
-        (True, 1_002, 175, 452),
+        (False, 8_720, 940, 4_152),
+        (True, 992, 175, 452),
     ], ids=["buggy", "fixed"])
     def test_gen_vmid_counts(self, correct, states, pruned, ample):
         """Await-loop pruning and local-step POR take ``gen_vmid``'s
         Arm exploration from 51,421 states (buggy) and 4,583 (fixed) to
         25,057 and 2,003; identifying states up to a swap of its two
-        identical CPUs halves those to these exact counts."""
+        identical CPUs halves those to 12,529 and 1,002, and dropping
+        successors that hold a dead promise gives these exact counts."""
         test = catalog.example2(correct)
         _sc, rm = litmus_configs(test)
         result = explore(test.program, rm, por=True)
