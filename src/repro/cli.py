@@ -49,14 +49,13 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         "debugging/benchmark knob)",
     )
     parser.add_argument(
-        "--backend", choices=("explore", "bmc", "auto"), default=None,
+        "--backend", choices=config.BACKENDS, default=None,
         help="verification backend (sets REPRO_BACKEND): 'explore' "
         "enumerates interleavings, 'bmc' compiles encodable queries to "
-        "SAT, 'auto' routes each query by predicted cost "
-        "(default: REPRO_BACKEND or 'explore')",
+        "SAT (default: REPRO_BACKEND or 'explore')",
     )
     parser.add_argument(
-        "--model", choices=("arm", "tso", "sc"), default=None,
+        "--model", choices=config.MODEL_NAMES, default=None,
         help="target architecture for relaxed explorations (sets "
         "REPRO_MODEL): 'arm' is the Promising Arm model, 'tso' the "
         "store-buffer TSO model, 'sc' sequential consistency "

@@ -30,7 +30,7 @@ from repro.errors import ProgramError
 MODEL_NAMES: Tuple[str, ...] = ("arm", "tso", "sc")
 
 #: The verification backends (``REPRO_BACKEND``); see :mod:`repro.smt`.
-BACKENDS: Tuple[str, ...] = ("explore", "bmc", "auto")
+BACKENDS: Tuple[str, ...] = ("explore", "bmc")
 
 #: The relaxed-VM behavior families (``REPRO_VM_FEATURES``), described
 #: in :mod:`repro.memory.semantics`.

@@ -81,10 +81,6 @@ OPTIMIZATIONS: Tuple[Optimization, ...] = (
         "no seeded mutant yet",
     ),
     Optimization(
-        "BMC router (REPRO_BACKEND=auto)", "backend", "backend",
-        ("bmc-drop-clause", "bmc-off-by-one-bound"),
-    ),
-    Optimization(
         "exploration memo", "explore_memo", None, (),
         "no oracle or mutant; tests/test_explore_cache.py pins its key "
         "sensitivity and recomputation with the memo off",

@@ -25,6 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.litmus.catalog import LitmusTest, full_corpus
 from repro.memory.behaviors import parse_register_key
 from repro.memory.cache import cached_explore
@@ -177,19 +178,15 @@ def _explore_one(
 ) -> ExplorationResult:
     """One model's behavior set via the selected backend (the
     ``backend`` conformance oracle checks the two agree)."""
-    from repro.smt.backend import bmc_explore, bmc_supported
-    from repro.smt.encode import Unsupported
-    from repro.smt.router import route
+    if backend == "bmc":
+        from repro.smt.backend import bmc_explore, bmc_supported
+        from repro.smt.encode import Unsupported
 
-    want_bmc = backend == "bmc" or (
-        backend == "auto"
-        and route(test.program, cfg, observe).backend == "bmc"
-    )
-    if want_bmc and bmc_supported(test.program, cfg) is None:
-        try:
-            return bmc_explore(test.program, cfg, observe, cache=cache)
-        except Unsupported:
-            pass  # domain blow-up found during encoding: explore instead
+        if bmc_supported(test.program, cfg) is None:
+            try:
+                return bmc_explore(test.program, cfg, observe, cache=cache)
+            except Unsupported:
+                pass  # domain blow-up found during encoding: explore instead
     return cached_explore(
         test.program, cfg, observe_locs=observe, cache=cache
     )
@@ -203,8 +200,8 @@ def run_litmus(
 ) -> LitmusOutcome:
     """Execute one test under both models and check its postcondition.
 
-    ``backend`` selects the verification backend (``explore``, ``bmc``,
-    or ``auto``; None reads ``REPRO_BACKEND``).  Tests outside the
+    ``backend`` selects the verification backend (``explore`` or
+    ``bmc``; None reads ``REPRO_BACKEND``).  Tests outside the
     SAT-encodable fragment always run through exploration.
 
     ``model`` (None reads ``REPRO_MODEL``) keeps the SC and Arm columns
@@ -213,9 +210,7 @@ def run_litmus(
     so the litmus suite never silently weakens.
     """
     if backend is None:
-        from repro.smt.router import backend_default
-
-        backend = backend_default()
+        backend = config.get("backend")
     if model is None:
         model = env_model()
     sc_cfg, rm_cfg = litmus_configs(test)

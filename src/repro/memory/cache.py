@@ -611,31 +611,3 @@ def cached_bmc_query(key: str, compute):
     """
     entry, _ = _cached(key, BmcEntry, "bmc", lambda: BmcEntry(compute()))
     return entry.payload
-
-
-def peek_exploration_states(
-    program: Program,
-    cfg: ModelConfig,
-    observe_locs: Optional[Sequence[int]] = None,
-    por: Optional[bool] = None,
-    monitors: Optional[Sequence[ExplorationMonitor]] = None,
-    monitor_cut: bool = True,
-) -> Optional[int]:
-    """``states_explored`` of a previously cached identical exploration.
-
-    A read-only probe for the backend router: returns the state count
-    a cache hit would replay (so routing can prefer the free answer),
-    or None when neither cache layer has the entry.  Never computes,
-    never restores monitor snapshots, never records a lookup.
-    """
-    if por is None:
-        por = por_default_enabled()
-    if monitors:
-        key = monitored_exploration_key(
-            program, cfg, observe_locs, por, list(monitors), monitor_cut
-        )
-        entry, _ = _lookup(key, MonitorPassEntry)
-        return None if entry is None else entry.result.states_explored
-    key = exploration_key(program, cfg, observe_locs, False, por)
-    entry, _ = _lookup(key, ExplorationResult)
-    return None if entry is None else entry.states_explored

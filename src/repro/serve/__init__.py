@@ -1,11 +1,11 @@
 """Verification-as-a-service: the ``repro serve`` HTTP layer.
 
-The engine work (POR, memoization, pass fusion, the BMC router) made
-individual queries fast; this package serves them over HTTP to
-clients verifying overlapping kernels.  The load-bearing observation
-is that real query mixes are duplicate-heavy — the same litmus shapes,
-the same KCore primitives, near-identical fuzzer genomes — so the
-server's job is to make sure each distinct computation runs **once**:
+The engine work (POR, memoization, pass fusion) made individual
+queries fast; this package serves them over HTTP to clients verifying
+overlapping kernels.  The load-bearing observation is that real query
+mixes are duplicate-heavy — the same litmus shapes, the same KCore
+primitives, near-identical fuzzer genomes — so the server's job is to
+make sure each distinct computation runs **once**:
 
 * **Content addressing** (:mod:`repro.serve.jobs`): every job is keyed
   by the same fingerprint spaces the engine cache uses

@@ -208,15 +208,11 @@ def _run_explore(payload: Dict[str, Any]) -> Dict[str, Any]:
     cfg = _explore_cfg(payload["model"], int(payload["max_promises"]))
     backend = payload["backend"]
     result = None
-    if backend in ("bmc", "auto"):
+    if backend == "bmc":
         from repro.smt.backend import bmc_explore, bmc_supported
         from repro.smt.encode import Unsupported
-        from repro.smt.router import route
 
-        want_bmc = backend == "bmc" or (
-            backend == "auto" and route(program, cfg).backend == "bmc"
-        )
-        if want_bmc and bmc_supported(program, cfg) is None:
+        if bmc_supported(program, cfg) is None:
             try:
                 result = bmc_explore(program, cfg)
             except Unsupported:

@@ -7,10 +7,9 @@ encode` compiles the eligible straight-line fragment of the kernel IR —
 together with the repo's validated axiomatic memory model — into CNF,
 and :mod:`repro.smt.backend` answers the same questions the explorer
 answers (litmus behavior sets, wDRF condition verdicts) by bounded
-model checking over that encoding.  :mod:`repro.smt.router` picks the
-cheaper backend per query from a small cost model, behind the
-``REPRO_BACKEND={explore,bmc,auto}`` knob; the ``backend`` conformance
-oracle keeps the two engines' answers identical.
+model checking over that encoding.  ``REPRO_BACKEND={explore,bmc}``
+picks the engine for every query; the ``backend`` conformance oracle
+keeps the two engines' answers identical.
 """
 
 from repro.smt.backend import (
@@ -22,27 +21,17 @@ from repro.smt.backend import (
     bmc_witness_trace,
 )
 from repro.smt.encode import ProgramEncoding, Unsupported
-from repro.smt.router import (
-    RouteDecision,
-    backend_default,
-    decide,
-    route,
-)
 from repro.smt.sat import SatStats, Solver
 
 __all__ = [
     "BmcStats",
     "ProgramEncoding",
-    "RouteDecision",
     "SatStats",
     "Solver",
     "Unsupported",
-    "backend_default",
     "bmc_behaviors",
     "bmc_condition_results",
     "bmc_explore",
     "bmc_supported",
     "bmc_witness_trace",
-    "decide",
-    "route",
 ]

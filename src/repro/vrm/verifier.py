@@ -267,26 +267,18 @@ def _maybe_bmc(
 ) -> Optional[Dict[str, ConditionResult]]:
     """BMC verdicts for one fused group, or None to use exploration.
 
-    Consults the backend knob (``REPRO_BACKEND``) and, in ``auto`` mode,
-    the cost-model router.
+    Only ``REPRO_BACKEND=bmc`` asks for them, and only a group inside
+    the SAT-encodable fragment gets them.
     """
+    if config.get("backend") != "bmc":
+        return None
     # Imported lazily: repro.smt.backend consumes repro.vrm.conditions,
     # so a module-level import here would be circular.
     from repro.smt.backend import bmc_condition_results, bmc_supported
     from repro.smt.encode import Unsupported
-    from repro.smt.router import backend_default, route
 
-    backend = backend_default()
-    if backend == "explore":
-        return None
     if bmc_supported(spec.program, base.cfg, monitors) is not None:
         return None
-    if backend == "auto":
-        decision = route(
-            spec.program, base.cfg, base.observe_locs, monitors
-        )
-        if decision.backend != "bmc":
-            return None
     try:
         verdicts = bmc_condition_results(
             spec.program, base.cfg, requests

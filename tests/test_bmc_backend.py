@@ -6,7 +6,7 @@ discipline the exploration optimizations use:
 * encoder edge cases (empty threads, depth bounds, fragment gates),
 * verdict equality against exploration over the full litmus catalog,
   the wDRF checkers, and a fuzzed genome sweep,
-* the cost-model router's policy under forced features.
+* solver statistics and the backend axis of the cache keys.
 """
 
 import pytest
@@ -17,23 +17,18 @@ from repro.ir import PTKind, ThreadBuilder, build_program
 from repro.litmus.catalog import classic_corpus, full_corpus
 from repro.litmus.runner import SC_CFG, rm_config, run_litmus
 from repro.memory.cache import bmc_query_key, cached_explore, exploration_key
-from repro.memory.semantics import ModelConfig
 from repro.memory.trace import ExecutionTrace
 from repro.smt import (
     BmcStats,
     ProgramEncoding,
     Unsupported,
-    backend_default,
     bmc_behaviors,
     bmc_condition_results,
     bmc_explore,
     bmc_supported,
     bmc_witness_trace,
-    decide,
-    route,
 )
 from repro.smt.encode import quick_unsupported
-from repro.smt.router import features_of
 from repro.vrm import verify_wdrf
 from repro.vrm.conditions import PassRequest, WDRFCondition
 from repro.vrm.isolation import plan_memory_isolation
@@ -73,28 +68,6 @@ def staged_pt_program():
     return build_program(
         threads, initial_memory=init, name="pt-write-twice-staged"
     )
-
-
-def bmc_explosion_spec():
-    """A wDRF spec whose exploration state space explodes but whose CNF
-    stays tiny: two CPUs each initialize three private kernel PT entries
-    and read back one, so relaxed exploration certifies thousands of
-    promise interleavings while the write-once/isolation queries are a
-    few hundred clauses.  Exploration still completes within the default
-    budgets, so both backends reach the same verdict; the wall clock is
-    the only difference, the shape the cost-model router must win on."""
-    tbs, init, pts = [], {}, []
-    for t in range(2):
-        tb = ThreadBuilder(t)
-        for s in range(3):
-            loc = 0x1000 + 0x10 * (t * 3 + s)
-            tb.store(loc, t + 1, pt_kind=PTKind.KERNEL)
-            init[loc] = 0
-            pts.append(loc)
-        tb.load(f"r{t}", 0x1000)
-        tbs.append(tb)
-    program = build_program(tbs, initial_memory=init, name="bmc-explosion")
-    return WDRFSpec(program=program, kernel_pt_locs=tuple(pts))
 
 
 def write_once_requests(program, cfg):
@@ -215,7 +188,7 @@ class TestLitmusAgreement:
                 test.program, ("backend",),
                 sc=SC_CFG, rm=rm_config(test.max_promises),
             ) == [], test.name
-            outcome = run_litmus(test, cache=False, backend="auto")
+            outcome = run_litmus(test, cache=False, backend="bmc")
             assert outcome.passed, outcome.describe()
 
 
@@ -326,62 +299,6 @@ class TestConditionBackend:
             bmc_witness_trace(violating_pt_program(), SC_CFG, Trivial())
             is None
         )
-
-
-class TestRouter:
-    def test_cached_exploration_always_wins(self):
-        decision = decide(
-            {"cached_states": 512.0, "est_log10_states": 9.0}
-        )
-        assert decision.backend == "explore"
-        assert "cached" in decision.reason
-
-    def test_explosive_estimates_route_to_bmc(self):
-        decision = decide(
-            {"cached_states": -1.0, "est_log10_states": 6.5}
-        )
-        assert decision.backend == "bmc"
-
-    def test_small_programs_stay_on_exploration(self):
-        decision = decide(
-            {"cached_states": -1.0, "est_log10_states": 1.2}
-        )
-        assert decision.backend == "explore"
-
-    def test_backend_default_validates_the_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_default() == "explore"
-        monkeypatch.setenv("REPRO_BACKEND", "bmc")
-        assert backend_default() == "bmc"
-        monkeypatch.setenv("REPRO_BACKEND", "BMC")
-        assert backend_default() == "bmc"
-        monkeypatch.setenv("REPRO_BACKEND", " Auto ")
-        assert backend_default() == "auto"
-        monkeypatch.setenv("REPRO_BACKEND", "")
-        assert backend_default() == "explore"
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            backend_default()
-
-    def test_route_falls_back_outside_the_fragment(self):
-        tb = ThreadBuilder(0)
-        tb.faa("r0", 0x10)
-        program = build_program(
-            [tb], initial_memory={0x10: 0}, name="atomic-route"
-        )
-        decision = route(program, SC_CFG)
-        assert decision.backend == "explore"
-        assert decision.reason.startswith("BMC unsupported")
-
-    def test_explosion_spec_features_cross_the_threshold(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_EXPLORE_CACHE", "0")
-        program = bmc_explosion_spec().program
-        features = features_of(program, ModelConfig(relaxed=True))
-        assert features["promisable_stores"] >= 6
-        assert features["est_log10_states"] >= 3.0
-        assert decide(features).backend == "bmc"
 
 
 class TestCacheAxis:

@@ -87,6 +87,22 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match="REPRO_MODEL"):
             env_model()
 
+    def test_backend_validates_the_knob(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert config.get("backend") == "explore"
+        monkeypatch.setenv("REPRO_BACKEND", "bmc")
+        assert config.get("backend") == "bmc"
+        monkeypatch.setenv("REPRO_BACKEND", " BMC ")
+        assert config.get("backend") == "bmc"
+        monkeypatch.setenv("REPRO_BACKEND", "")
+        assert config.get("backend") == "explore"
+        for raw in ("auto", "bogus"):
+            monkeypatch.setenv("REPRO_BACKEND", raw)
+            with pytest.raises(
+                ValueError, match="REPRO_BACKEND.*explore, bmc"
+            ):
+                config.get("backend")
+
     def test_vm_features_keep_their_grammar(self, monkeypatch):
         monkeypatch.setenv("REPRO_VM_FEATURES", "bbm, had")
         assert config.get("vm_features") == frozenset({"bbm", "had"})
@@ -167,6 +183,11 @@ class TestCliLeavesEnvironmentAlone:
         assert code == 0
         assert _repro_env() == before
         assert resolve_model(PROMISING_ARM).relaxed
+        with pytest.raises(SystemExit) as refused:
+            main(["litmus", "--backend", "auto"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        assert _repro_env() == before
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,8 @@ class TestParseJob:
         parse_job(_explore_body(model="tso"))        # portfolio member: valid
         with pytest.raises(JobError):
             parse_job(_explore_body(backend="z3"))   # unknown backend
+        with pytest.raises(JobError, match="explore.*bmc"):
+            parse_job(_explore_body(backend="auto"))  # no longer a backend
         with pytest.raises(JobError):
             parse_job({"kind": "litmus", "test": "no-such-test"})
         with pytest.raises(JobError):
@@ -100,7 +102,7 @@ class TestParseJob:
 
     def test_backend_and_model_change_key(self):
         base = parse_job(_explore_body(0))
-        assert base.key != parse_job(_explore_body(0, backend="auto")).key
+        assert base.key != parse_job(_explore_body(0, backend="bmc")).key
         assert base.key != parse_job(_explore_body(0, model="sc")).key
 
     def test_payload_is_canonical(self):
